@@ -103,25 +103,64 @@ class CounterCheckMonitor:
 
     def on_report(self, response: CounterCheckResponse) -> None:
         """Ingest one COUNTER CHECK response from the base station."""
-        dl_delta = response.downlink_bytes - self._last_dl
-        ul_delta = response.uplink_bytes - self._last_ul
-        if dl_delta < 0 or ul_delta < 0:
-            # Modem counter reset (detach/reattach, reboot): everything
-            # counted since the restart is the new absolute value.
-            self.resets_observed += 1
-            if dl_delta < 0:
-                dl_delta = response.downlink_bytes
-            if ul_delta < 0:
-                ul_delta = response.uplink_bytes
-        # The response carries its own emission time (the base station
-        # stamps it when serving the check), which on the live loop is the
-        # ingestion time too; using it keeps the monitor replayable from
-        # recorded responses (and by the batched kernel's flush).
-        self._dl_reports.add(response.t, dl_delta)
-        self._ul_reports.add(response.t, ul_delta)
-        self._last_dl = response.downlink_bytes
-        self._last_ul = response.uplink_bytes
-        self.reports_received += 1
+        self.ingest(((response.t, response.uplink_bytes, response.downlink_bytes),))
+
+    def ingest(self, reports) -> None:
+        """Ingest ``(t, uplink_bytes, downlink_bytes)`` reports in emission order.
+
+        The one ingestion loop behind :meth:`on_report`; the batched
+        kernel hands over a whole lane's reports in a single call.  Each
+        report is validated before it touches any state (the checks and
+        messages of ``CumulativeCounter.add``), so a rejected report
+        leaves the monitor exactly as the reports before it left it.
+        """
+        dl, ul = self._dl_reports, self._ul_reports
+        dl_times, dl_cums, ul_times, ul_cums = dl._times, dl._cums, ul._times, ul._cums
+        dl_total, ul_total = dl._total, ul._total
+        last_dl, last_ul = self._last_dl, self._last_ul
+        resets = self.resets_observed
+        received = self.reports_received
+        try:
+            for t, ul_bytes, dl_bytes in reports:
+                dl_delta = dl_bytes - last_dl
+                ul_delta = ul_bytes - last_ul
+                reset = dl_delta < 0 or ul_delta < 0
+                if reset:
+                    # Modem counter reset (detach/reattach, reboot):
+                    # everything counted since the restart is the new
+                    # absolute value.
+                    if dl_delta < 0:
+                        dl_delta = dl_bytes
+                    if ul_delta < 0:
+                        ul_delta = ul_bytes
+                if dl_delta < 0:
+                    raise ValueError(f"cannot count negative bytes: {dl_delta}")
+                # The report carries its own emission time (the base
+                # station stamps it when serving the check), which on the
+                # live loop is the ingestion time too; using it keeps the
+                # monitor replayable from recorded reports.
+                if dl_times and t < dl_times[-1]:
+                    raise ValueError(f"counter time went backwards: {t} < {dl_times[-1]}")
+                if ul_delta < 0:
+                    raise ValueError(f"cannot count negative bytes: {ul_delta}")
+                resets += reset
+                dl_total += dl_delta
+                ul_total += ul_delta
+                if dl_times and t == dl_times[-1]:
+                    dl_cums[-1] = dl_total
+                    ul_cums[-1] = ul_total
+                else:
+                    dl_times.append(t)
+                    dl_cums.append(dl_total)
+                    ul_times.append(t)
+                    ul_cums.append(ul_total)
+                last_dl, last_ul = dl_bytes, ul_bytes
+                received += 1
+        finally:
+            dl._total, ul._total = dl_total, ul_total
+            self._last_dl, self._last_ul = last_dl, last_ul
+            self.resets_observed = resets
+            self.reports_received = received
 
     @property
     def total(self) -> int:

@@ -442,7 +442,12 @@ class FleetResult:
             f"(shard size {self.config.shard_size}, seed {self.config.seed}, "
             f"zipf s={self.config.zipf_s})",
             f"engine: {self.report.simulated} shards simulated, "
-            f"{self.report.cached} cached",
+            f"{self.report.cached} cached"
+            + (
+                f", {self.report.cache_write_errors} cache writes failed"
+                if self.report.cache_write_errors
+                else ""
+            ),
             "",
             f"{'scheme':<14} {'mean Δ MB/hr':>13} {'std':>10} {'min':>10} "
             f"{'max':>10} {'converged':>10}",
@@ -610,6 +615,10 @@ def run_fleet(
     miss = [i for i, key in enumerate(keys) if cache is None or not cache.has(key)]
     miss_set = set(miss)
 
+    def publish(i: int, data: dict) -> None:
+        if cache is not None and cache.put_data(keys[i], data) is None:
+            run_report.cache_write_errors += 1
+
     pool = None
     miss_iter = None
     try:
@@ -625,8 +634,7 @@ def run_fleet(
                     if miss_iter is not None
                     else _simulate_shard_to_dict(shard_to_dict(shard))
                 )
-                if cache is not None:
-                    cache.put_data(keys[i], data)
+                publish(i, data)
                 run_report.simulated += 1
             else:
                 data = cache.get_data(keys[i])
@@ -634,7 +642,7 @@ def run_fleet(
                     run_report.cached += 1
                 else:
                     data = _simulate_shard_to_dict(shard_to_dict(shard))
-                    cache.put_data(keys[i], data)
+                    publish(i, data)
                     run_report.simulated += 1
             accumulator.add(data)
     finally:

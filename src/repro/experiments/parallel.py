@@ -28,6 +28,7 @@ options through every figure function.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -243,16 +244,25 @@ class ResultCache:
             return None
         return data
 
-    def put_data(self, key: str, data: dict) -> Path:
-        """Atomically publish one entry via a writer-unique temp file."""
+    def put_data(self, key: str, data: dict) -> Path | None:
+        """Atomically publish one entry via a writer-unique temp file.
+
+        A failed write (disk full, I/O error) publishes nothing, leaves no
+        temp file behind and returns None: the cache is only an
+        optimization, so a failed publish costs a recompute later, never
+        the caller's run.
+        """
         path = self.path_for_key(key)
-        self.directory.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
             tmp.write_text(json.dumps(data, separators=(",", ":")))
             tmp.replace(path)  # atomic publish: readers never see partial JSON
+        except OSError:
+            return None
         finally:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
         return path
 
     # ---------------------------------------------------- scenario-keyed API
@@ -271,7 +281,7 @@ class ResultCache:
             self.path_for_key(key).unlink(missing_ok=True)
             return None
 
-    def put(self, config: ScenarioConfig, result: ScenarioResult) -> Path:
+    def put(self, config: ScenarioConfig, result: ScenarioResult) -> Path | None:
         return self.put_data(scenario_key(config), result_to_dict(result))
 
 
@@ -284,6 +294,8 @@ class RunReport:
 
     simulated: int = 0
     cached: int = 0
+    #: Results whose cache publish failed (see :meth:`ResultCache.put_data`).
+    cache_write_errors: int = 0
 
     @property
     def total(self) -> int:
@@ -398,7 +410,7 @@ def run_scenarios(
                 fresh = [result_from_dict(data) for data in encoded]
         for i, result in zip(misses, fresh):
             results[i] = result
-            if cache is not None:
-                cache.put(configs[i], result)
+            if cache is not None and cache.put(configs[i], result) is None and report is not None:
+                report.cache_write_errors += 1
 
     return results  # type: ignore[return-value]  # every slot is filled

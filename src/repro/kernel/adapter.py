@@ -20,6 +20,7 @@ import os
 
 from ..cellular.mobility import HandoverProcess
 from ..cellular.radio import RadioChannel
+from ..edge.monitors import CounterCheckMonitor
 from ..netsim import Direction
 from ..netsim.faults import FaultInjector
 from .engine import _K_HO_BEGIN, _K_OUT_BEGIN, _K_RESET, _K_RSS, LaneSpec
@@ -181,6 +182,11 @@ def _build_lane(
         or (fault_view is not None and fault_view.any_path_faults)
     )
 
+    # The operator's record ingests the lane's COUNTER CHECK reports in
+    # bulk when the RRC sink is a monitor's own on_report.
+    sink = ue.rrc.report_sink
+    bulk_sink = getattr(sink, "__func__", None) is CounterCheckMonitor.on_report
+
     lane = LaneSpec(
         is_uplink=is_uplink,
         t0=loop.now(),
@@ -212,6 +218,7 @@ def _build_lane(
         span_recorder=span_recorder,
         absorbed=absorbed,
         fault_view=fault_view,
+        report_monitor=sink.__self__ if bulk_sink else None,
     )
     return lane, None
 

@@ -59,7 +59,7 @@ smaller seq.  Pending periodic-check events are invalidated by a
 generation counter instead of heap surgery, mirroring timer ``cancel``.
 
 Two executors share the wheel
-----------------------------
+-----------------------------
 
 Sessions whose path state cannot change mid-frame (no outages, no RSS
 recording, no quota, no handover) run the **fold loops** above — the
@@ -70,8 +70,29 @@ quota or an X2 handover schedule run the **general-mode executor**
 but per-packet-hop events like the reference engine, because an outage
 window, an RLF detach, a policer refill or a handover break can land
 between any two chunks.  General mode trades the fold speedup for
-coverage — chaos-profile sessions still skip the shared event loop's
-closure allocation and object hops.
+coverage, but its per-hop work is local code too: it skips the shared
+event loop's closure allocation and object hops, and it calls no
+workload, radio, air or counter method per hop.
+
+Both executors share one copy of what they do alike:
+
+* the physics helpers — :func:`_frame_size` (per frame in both) and
+  :func:`_survives_air` (per delivery in general mode; the fold loops
+  keep the RSS walk in locals) — and :func:`_background_split`, the
+  proven ≤ 1-background ``_demand_split`` specialization, with the live
+  ``_demand_split`` as the fallback for more classes;
+* COUNTER CHECK reports, buffered as plain ``(t, uplink_bytes,
+  downlink_bytes)`` triples and handed over once at flush: the operator's
+  :class:`~repro.edge.monitors.CounterCheckMonitor` ingests them in one
+  :meth:`~repro.edge.monitors.CounterCheckMonitor.ingest` call, and any
+  other sink gets the responses replayed in emission order;
+* plain sums (air, link and middlebox FlowStats, metric counters)
+  applied once by :func:`_flush_path`.
+
+Counters the lane writes take a lean path: the fold loops append points
+into :class:`_Cum` mirrors installed at flush, and general mode adds into
+the live counters through :func:`_count`, ``CumulativeCounter.add``
+without its per-call validation (wheel times never run backwards).
 
 Fault schedules run in general mode too: path-kind decisions
 (burst-loss / reorder / duplicate / corrupt / blackout) are replayed at
@@ -90,10 +111,9 @@ above the tie-safety bound — is refused by the eligibility check in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count as _count
+from itertools import count as _count_from
 from math import cos as _cos, exp as _exp, log as _log, sin as _sin, sqrt as _sqrt, tau as _TWOPI
 
 # random.NV_MAGICCONST, same expression so the same float.
@@ -103,7 +123,7 @@ from ..cellular.air import AirInterface, RateWindow
 from ..cellular.bearer import Bearer
 from ..cellular.gateway import TokenBucket
 from ..cellular.qos import scheduler_priority
-from ..cellular.radio import GOOD_RSS_DBM, RadioChannel, RssSample
+from ..cellular.radio import GOOD_RSS_DBM, OUTAGE_FLOOR_DBM, RadioChannel, RssSample
 from ..cellular.rrc import CounterCheckResponse, HardwareModem, RrcConnectionManager, RrcState
 from ..netsim.packet import Direction, Packet
 from ..obs.spans import Span
@@ -160,6 +180,183 @@ class _Cum:
         counter._times = self.times
         counter._cums = self.cums
         counter._total = self.total
+
+
+def _count(counter, t: float, nbytes: int) -> None:
+    """``CumulativeCounter.add`` without its per-call validation.
+
+    Lane writes cannot fail it: wheel times never run backwards and every
+    chunk has a positive size.
+    """
+    total = counter._total + nbytes
+    counter._total = total
+    times = counter._times
+    if times and times[-1] == t:
+        counter._cums[-1] = total
+    else:
+        times.append(t)
+        counter._cums.append(total)
+
+
+def _frame_shape(profile) -> tuple:
+    """:func:`_frame_size`'s profile constants (``mean_frame_bytes`` is the same float per call)."""
+    return (profile.mean_frame_bytes, profile.iframe_interval, profile.iframe_scale, profile.size_sigma)
+
+
+def _frame_size(random, frames_sent: int, shape: tuple) -> int:
+    """``FrameWorkload._frame_size`` op for op.
+
+    ``random`` is the workload stream's ``random`` method, and
+    ``lognormvariate`` is inlined as ``exp(normalvariate)`` with the same
+    draws and float expressions.
+    """
+    mean, iframe_n, iframe_scale, size_sigma = shape
+    if iframe_n > 0:
+        p_frame = mean * iframe_n / (iframe_n - 1 + iframe_scale)
+        mean = p_frame * (iframe_scale if frames_sent % iframe_n == 0 else 1.0)
+    while True:
+        u1 = random()
+        u2 = 1.0 - random()
+        z = _NV_MAGIC * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -_log(u2):
+            break
+    size = int(_exp(0.0 + z * size_sigma) * mean)
+    return size if size > 64 else 64
+
+
+def _survives_air(radio, walk: tuple) -> bool:
+    """``RadioChannel.survives_air`` op for op.
+
+    ``_walk_rss`` with ``random.gauss`` inlined (same draws, same
+    carry-over cache on the stream), then one ``random() >=
+    loss_probability()`` draw at the walked RSS, which reads the outage
+    floor while the radio is disconnected.  ``walk`` holds the radio
+    profile's constants (see :meth:`_GeneralRun.__init__`).
+    """
+    base, noise, floor, ceiling, base_loss, loss_at_floor = walk
+    rng = radio._rng
+    z = rng.gauss_next
+    rng.gauss_next = None
+    if z is None:
+        x2pi = rng.random() * _TWOPI
+        g2rad = _sqrt(-2.0 * _log(1.0 - rng.random()))
+        z = _cos(x2pi) * g2rad
+        rng.gauss_next = _sin(x2pi) * g2rad
+    step = 0.0 + z * noise  # gauss: mu + z * sigma, mu = 0.0
+    rss = radio._current_rss
+    rss = rss + 0.25 * (base - rss) + step
+    if rss < floor:
+        rss = floor
+    elif rss > ceiling:
+        rss = ceiling
+    radio._current_rss = rss
+    if not radio.connected:
+        rss = OUTAGE_FLOOR_DBM
+    if rss >= GOOD_RSS_DBM:
+        loss = base_loss
+    else:
+        frac = (GOOD_RSS_DBM - rss) / (GOOD_RSS_DBM - floor)
+        if frac > 1.0:
+            frac = 1.0
+        loss = base_loss + frac * loss_at_floor
+        if loss > 1.0:
+            loss = 1.0
+    return rng.random() >= loss
+
+
+def _background_split(background: dict, air_qci: int) -> tuple[float, float] | None:
+    """Precomputed ``AirInterface._demand_split`` for ≤ 1 background class.
+
+    With at most one background class the reference's set-union loop
+    collapses to one or two single-term bucket sums, which IEEE addition
+    reproduces exactly (``x + 0.0 == x``, ``0.0 + x == x`` and ``a + b ==
+    b + a`` for the non-negative rates here).  Returns ``(bg_higher,
+    bg_same)``, so the hot paths compute ``higher = bg_higher; same =
+    bg_same + rate``; returns None for ≥ 2 classes, where they call the
+    live ``_demand_split`` instead.
+    """
+    if len(background) > 1:
+        return None
+    if not background:
+        return 0.0, 0.0
+    ((bg_qci, bg_rate),) = background.items()
+    my_priority = scheduler_priority(air_qci)
+    bg_priority = scheduler_priority(bg_qci)
+    if bg_qci == air_qci or bg_priority == my_priority:
+        return 0.0, bg_rate
+    if bg_priority < my_priority:
+        return bg_rate, 0.0
+    return 0.0, 0.0  # lower priority: invisible to this QCI's buckets
+
+
+def _live_split(spec: "LaneSpec", window: RateWindow, t: float, win_bits: int) -> tuple[float, float]:
+    """``AirInterface._demand_split`` on the live air (≥ 2 background classes).
+
+    Syncs the lane's bit sum into its foreground window and installs the
+    window first, as the reference's first submit does.
+    """
+    window._bits = win_bits
+    air = spec.air
+    air._foreground[spec.air_qci] = window
+    return air._demand_split(spec.air_qci, t)
+
+
+def _flush_path(run) -> None:
+    """Install the state both executors mirror alike into the live objects.
+
+    Air FlowStats and the foreground window, RRC state and counts, the
+    buffered COUNTER CHECK reports, the bearer's usage stamps, and the
+    link and middlebox FlowStats.
+    """
+    spec = run.spec
+    air = spec.air
+    if run.off_p:  # the reference's first submit creates the window
+        run.window._bits = run.win_bits
+        air._foreground[spec.air_qci] = run.window
+    air.offered.packets += run.off_p
+    air.offered.bytes += run.off_b
+    air.dropped.packets += run.drop_p
+    air.dropped.bytes += run.drop_b
+    air.transmitted.packets += run.trans_p
+    air.transmitted.bytes += run.trans_b
+
+    rrc = spec.rrc
+    rrc.state = RrcState.CONNECTED if run.connected else RrcState.IDLE
+    rrc.setups += run.setups
+    rrc.releases += run.releases
+    rrc.counter_checks_sent += run.checks_sent
+    spec.modem.counter_checks_served += run.checks_sent
+    # The operator's CounterCheckMonitor ingests the reports in one call;
+    # any other sink gets the responses replayed in emission order.
+    if spec.report_monitor is not None:
+        spec.report_monitor.ingest(run.reports)
+    elif run.reports:
+        for t, ul_bytes, dl_bytes in run.reports:
+            rrc.report_sink(CounterCheckResponse(t=t, uplink_bytes=ul_bytes, downlink_bytes=dl_bytes))
+
+    # Bearer._touch stamps: the lane's charges are the direction
+    # counter's whole point series (it was fresh at lane start).
+    bearer = spec.bearer
+    times = (bearer.uplink if spec.is_uplink else bearer.downlink)._times
+    if times:
+        if bearer.first_usage is None:
+            bearer.first_usage = times[0]
+        bearer.last_usage = times[-1]
+
+    link = spec.backhaul_link if spec.is_uplink else spec.lan_link
+    link.sent.packets += run.link_sent_p
+    link.sent.bytes += run.link_sent_b
+    link.delivered.packets += run.link_del_p
+    link.delivered.bytes += run.link_del_b
+    if link._m_sent is not None:
+        link._m_sent.inc(run.link_sent_b)
+        link._m_delivered.inc(run.link_del_b)
+
+    middlebox = spec.middlebox
+    middlebox.passed.packets += run.mb_pass_p
+    middlebox.passed.bytes += run.mb_pass_b
+    middlebox.dropped.packets += run.mb_drop_p
+    middlebox.dropped.bytes += run.mb_drop_b
 
 
 @dataclass
@@ -223,6 +420,9 @@ class LaneSpec:
     #: through it at the uplink/downlink injection points, counter resets
     #: through :meth:`~repro.netsim.faults.LaneFaultView.apply_reset`.
     fault_view: object = None
+    #: The :class:`~repro.edge.monitors.CounterCheckMonitor` whose
+    #: ``on_report`` is the RRC report sink, or None for any other sink.
+    report_monitor: object = None
 
 
 class _LaneRun:
@@ -231,20 +431,19 @@ class _LaneRun:
     __slots__ = (
         "spec", "until", "end", "heap", "seq",
         # workload
-        "wl_rng", "fps", "frame_dt", "packet_bytes", "mean_bitrate",
-        "iframe_interval", "iframe_scale", "size_sigma",
+        "wl_rng", "fps", "frame_dt", "packet_bytes", "shape",
         "frames_sent", "bytes_offered",
         # air
         "air_random", "capacity", "cap_usable", "prop", "max_qd",
-        "bg", "my_priority", "split_general", "bg_higher", "bg_same",
-        "win_samples", "win_bits",
+        "split_general", "bg_higher", "bg_same",
+        "window", "win_samples", "win_bits",
         "off_p", "off_b", "drop_p", "drop_b", "trans_p", "trans_b",
         # radio
         "radio_rng", "rss", "rss_base", "rss_noise", "rss_floor",
         "rss_ceiling", "base_loss", "loss_at_floor",
         # rrc
-        "connected", "release_at", "timeout", "check_dt", "gen", "sink",
-        "setups", "releases", "checks_sent", "served",
+        "connected", "release_at", "timeout", "check_dt", "gen", "reports",
+        "setups", "releases", "checks_sent",
         # counters
         "mod_cum", "bearer_cum", "dev_cum", "srv_cum",
         "charged", "received", "latencies",
@@ -266,10 +465,7 @@ class _LaneRun:
         self.fps = profile.fps
         self.frame_dt = 1.0 / profile.fps
         self.packet_bytes = profile.packet_bytes
-        self.mean_bitrate = profile.mean_bitrate_bps
-        self.iframe_interval = profile.iframe_interval
-        self.iframe_scale = profile.iframe_scale
-        self.size_sigma = profile.size_sigma
+        self.shape = _frame_shape(profile)
         self.frames_sent = 0
         self.bytes_offered = 0
 
@@ -281,28 +477,14 @@ class _LaneRun:
         self.cap_usable = air.capacity_bps * air.usable_fraction
         self.prop = air.propagation_delay_s
         self.max_qd = air.max_queue_delay_s
-        self.bg = air._background
-        self.my_priority = scheduler_priority(spec.air_qci)
-        # Background demand-split specialization: with at most one
-        # background class the reference's set-union loop collapses to one
-        # or two single-term bucket sums, which IEEE addition reproduces
-        # exactly (x + 0.0 == x, 0.0 + x == x and a + b == b + a for the
-        # non-negative rates here).  The hot loops then compute
-        # ``higher = bg_higher; same = bg_same + rate``.
-        self.split_general = False
-        self.bg_higher = 0.0
-        self.bg_same = 0.0
-        if len(self.bg) == 1:
-            ((bg_qci, bg_rate),) = self.bg.items()
-            bg_priority = scheduler_priority(bg_qci)
-            if bg_qci == spec.air_qci or bg_priority == self.my_priority:
-                self.bg_same = bg_rate
-            elif bg_priority < self.my_priority:
-                self.bg_higher = bg_rate
-            # else lower priority: invisible to this QCI's buckets
-        elif len(self.bg) > 1:
-            self.split_general = True  # general set-union mirror (_split)
-        self.win_samples: deque[tuple[float, int]] = deque()
+        split = _background_split(air._background, spec.air_qci)
+        self.split_general = split is None
+        self.bg_higher, self.bg_same = split or (0.0, 0.0)
+        # The foreground RateWindow the reference creates at the first
+        # submit; the hot loops observe into its deque with the bit sum
+        # in a local, and it is installed on the air at flush.
+        self.window = RateWindow()
+        self.win_samples = self.window._samples
         self.win_bits = 0
         self.off_p = self.off_b = 0
         self.drop_p = self.drop_b = 0
@@ -325,11 +507,11 @@ class _LaneRun:
         self.timeout = rrc.inactivity_timeout_s
         self.check_dt = rrc.counter_check_interval_s
         self.gen = 0
-        self.sink = rrc.report_sink
+        # COUNTER CHECK reports, handed to the sink at flush.
+        self.reports: list | None = [] if rrc.report_sink is not None else None
         self.setups = 0
         self.releases = 0
         self.checks_sent = 0
-        self.served = 0
 
         self.mod_cum = _Cum()  # modem counter for the lane's direction
         self.bearer_cum = _Cum()
@@ -363,32 +545,11 @@ class _LaneRun:
 
     # ---------------------------------------------------------- cold paths
 
-    def _split(self, rate: float) -> tuple[float, float]:
-        """General mirror of AirInterface._demand_split (≥ 2 bg classes).
-
-        ``rate`` is the foreground window's already-expired rate_bps at
-        the current time.  Same set construction, iteration order and
-        float accumulation order as the reference.
-        """
-        my_priority = self.my_priority
-        air_qci = self.spec.air_qci
-        higher = 0.0
-        same = 0.0
-        for other in set(self.bg) | {air_qci}:
-            load = self.bg.get(other, 0.0) + (rate if other == air_qci else 0.0)
-            priority = scheduler_priority(other)
-            if priority < my_priority:
-                higher += load
-            elif priority == my_priority:
-                same += load
-        return higher, same
-
     def _counter_check(self, t: float, ul_total: int, dl_total: int) -> None:
         # rrc.perform_counter_check + modem.counter_check at time t.
         self.checks_sent += 1
-        self.served += 1
-        if self.sink is not None:
-            self.sink(CounterCheckResponse(t=t, uplink_bytes=ul_total, downlink_bytes=dl_total))
+        if self.reports is not None:
+            self.reports.append((t, ul_total, dl_total))
 
     # --------------------------------------------------------- uplink loop
 
@@ -402,11 +563,7 @@ class _LaneRun:
 
         frame_dt = self.frame_dt
         packet_bytes = self.packet_bytes
-        fps = self.fps
-        mean_bitrate = self.mean_bitrate
-        iframe_n = self.iframe_interval
-        iframe_scale = self.iframe_scale
-        size_sigma = self.size_sigma
+        shape = self.shape
         wl_random = self.wl_rng.random
         frames_sent = self.frames_sent
         bytes_offered = self.bytes_offered
@@ -527,22 +684,7 @@ class _LaneRun:
                 # FrameWorkload._emit_frame with sender = EdgeDevice.send.
                 if te > until:
                     continue
-                # _frame_size, op for op (incl. the property recompute and
-                # the inlined lognormvariate = exp(normalvariate)).
-                mean = mean_bitrate / 8.0 / fps
-                if iframe_n > 0:
-                    p_frame = mean * iframe_n / (iframe_n - 1 + iframe_scale)
-                    mean = p_frame * (iframe_scale if frames_sent % iframe_n == 0 else 1.0)
-                while True:
-                    u1 = wl_random()
-                    u2 = 1.0 - wl_random()
-                    z = _NV_MAGIC * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -_log(u2):
-                        break
-                size = _exp(0.0 + z * size_sigma) * mean
-                remaining = int(size)
-                if remaining < 64:
-                    remaining = 64
+                remaining = _frame_size(wl_random, frames_sent, shape)
                 frames_sent += 1
                 # All chunks of one frame land at the same te inside one
                 # handler, so the per-chunk monitor/modem adds coalesce
@@ -584,7 +726,7 @@ class _LaneRun:
                     # submit draws rng.random() before drop_probability.
                     u = air_random()
                     if split_general:
-                        higher, same = self._split(win_bits / 1.0)
+                        higher, same = _live_split(self.spec, self.window, te, win_bits)
                     else:
                         higher = bg_higher
                         same = bg_same + win_bits / 1.0  # RateWindow.rate_bps
@@ -667,11 +809,7 @@ class _LaneRun:
 
         frame_dt = self.frame_dt
         packet_bytes = self.packet_bytes
-        fps = self.fps
-        mean_bitrate = self.mean_bitrate
-        iframe_n = self.iframe_interval
-        iframe_scale = self.iframe_scale
-        size_sigma = self.size_sigma
+        shape = self.shape
         wl_random = self.wl_rng.random
         frames_sent = self.frames_sent
         bytes_offered = self.bytes_offered
@@ -799,7 +937,7 @@ class _LaneRun:
                     off_b += chunk
                     u = air_random()
                     if split_general:
-                        higher, same = self._split(win_bits / 1.0)
+                        higher, same = _live_split(self.spec, self.window, te, win_bits)
                     else:
                         higher = bg_higher
                         same = bg_same + win_bits / 1.0
@@ -837,20 +975,7 @@ class _LaneRun:
                 # the charge and the arrival.
                 if te > until:
                     continue
-                mean = mean_bitrate / 8.0 / fps
-                if iframe_n > 0:
-                    p_frame = mean * iframe_n / (iframe_n - 1 + iframe_scale)
-                    mean = p_frame * (iframe_scale if frames_sent % iframe_n == 0 else 1.0)
-                while True:
-                    u1 = wl_random()
-                    u2 = 1.0 - wl_random()
-                    z = _NV_MAGIC * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -_log(u2):
-                        break
-                size = _exp(0.0 + z * size_sigma) * mean
-                remaining = int(size)
-                if remaining < 64:
-                    remaining = 64
+                remaining = _frame_size(wl_random, frames_sent, shape)
                 frames_sent += 1
                 tg = te + lan_s  # the LAN link's schedule_at(depart + latency)
                 # The reference fragments full packet_bytes chunks first,
@@ -942,35 +1067,11 @@ class _LaneRun:
 
         spec.radio._current_rss = self.rss
 
-        air = spec.air
-        if self.off_p:
-            window = RateWindow()
-            window._samples.extend(self.win_samples)
-            window._bits = self.win_bits
-            air._foreground[spec.air_qci] = window
-        air.offered.packets += self.off_p
-        air.offered.bytes += self.off_b
-        air.dropped.packets += self.drop_p
-        air.dropped.bytes += self.drop_b
-        air.transmitted.packets += self.trans_p
-        air.transmitted.bytes += self.trans_b
-
         modem = spec.modem
-        self.mod_cum.flush_into(modem.ul_sent if spec.is_uplink else modem.dl_received)
-        modem.counter_checks_served += self.served
-
-        rrc = spec.rrc
-        rrc.state = RrcState.CONNECTED if self.connected else RrcState.IDLE
-        rrc.setups += self.setups
-        rrc.releases += self.releases
-        rrc.counter_checks_sent += self.checks_sent
-
         bearer = spec.bearer
+        self.mod_cum.flush_into(modem.ul_sent if spec.is_uplink else modem.dl_received)
         self.bearer_cum.flush_into(bearer.uplink if spec.is_uplink else bearer.downlink)
-        if self.bearer_cum.times:  # Bearer._touch stamps
-            if bearer.first_usage is None:
-                bearer.first_usage = self.bearer_cum.times[0]
-            bearer.last_usage = self.bearer_cum.times[-1]
+        _flush_path(self)
 
         device = spec.device
         server = spec.server
@@ -978,30 +1079,15 @@ class _LaneRun:
         # Uplink submits every chunk to the air (off_p); downlink sends
         # every chunk onto the LAN link (link_sent_p).
         sender = device if spec.is_uplink else server
-        sender._seq = _count(self.off_p if spec.is_uplink else self.link_sent_p)
+        sender._seq = _count_from(self.off_p if spec.is_uplink else self.link_sent_p)
         if spec.is_uplink:
             self.dev_cum.flush_into(device.ul_monitor.counter)
             self.srv_cum.flush_into(server.ul_monitor.counter)
             server.stats.received += self.received
             server.stats.latencies.extend(self.latencies)
-            link = spec.backhaul_link
         else:
             self.srv_cum.flush_into(server.dl_monitor.counter)
             self.dev_cum.flush_into(device.dl_monitor.counter)
-            link = spec.lan_link
-        link.sent.packets += self.link_sent_p
-        link.sent.bytes += self.link_sent_b
-        link.delivered.packets += self.link_del_p
-        link.delivered.bytes += self.link_del_b
-        if link._m_sent is not None:
-            link._m_sent.inc(self.link_sent_b)
-            link._m_delivered.inc(self.link_del_b)
-
-        middlebox = spec.middlebox
-        middlebox.passed.packets += self.mb_pass_p
-        middlebox.passed.bytes += self.mb_pass_b
-        middlebox.dropped.packets += self.mb_drop_p
-        middlebox.dropped.bytes += self.mb_drop_b
 
         # The gateway creates its charged counter lazily on the first
         # charged packet; mirror that so empty runs snapshot identically.
@@ -1027,23 +1113,34 @@ class _GeneralRun:
     State split
     -----------
 
-    *Live*: anything keyed by explicit timestamps or consumed by RNG
-    draws operates directly on the real objects — workload frame sizing,
-    the radio (connectivity, RSS walk, outage bookkeeping, air-survival
-    draws), cumulative counters (``CumulativeCounter.add`` takes an
-    explicit ``t``), FlowStats, MME/bearer activation, metric counters.
-    The real event-loop clock is *stale* during the lane (it never
-    advances), so every reference code path that reads ``loop.now()`` —
-    ``TrafficMonitor.observe``, ``HardwareModem.count_*``, ``Link.send``,
-    ``TokenBucket`` — is mirrored with the wheel's event time instead of
-    being called.
+    *Live*: the real objects the lane reads back mid-run or shares with
+    the reference code it still calls — the radio (connectivity, RSS
+    walk state, outage bookkeeping, its RNG stream), the workload's
+    frame counters and RNG stream, the cumulative counters, the
+    drop-tail queues' FlowStats, MME/bearer activation, the PCRF policy.
+    The per-hop work on them runs in local code, op for op:
+    :func:`_frame_size` and :func:`_survives_air` replace the workload
+    and radio methods, and counters take :func:`_count`, the lean add
+    path without per-call validation.  The real event-loop clock is
+    *stale* during the lane (it never advances), so every reference code
+    path that reads ``loop.now()`` — ``TrafficMonitor.observe``,
+    ``HardwareModem.count_*``, ``Link.send``, ``TokenBucket`` — is
+    mirrored with the wheel's event time instead of being called.  A
+    frame's chunks share one timestamp, so the server's downlink monitor,
+    the device's uplink monitor, the modem's uplink counter (without a
+    fault pipe) and the bearer's downlink charge take one add per frame.
 
     *Mirrored and flushed*: RRC connection state (lazy release deadline
     plus a reserved seq for exact same-time ordering; generation-
-    cancelled periodic checks), the two drop-tail queues (contents,
-    bytes, and the handover-inflated capacity/drop-layer), the token
-    bucket policer, the RLF timer generation, the handover save/restore
-    pair, and the ``radio.outage`` span walk.
+    cancelled periodic checks) and the COUNTER CHECK reports, buffered as
+    ``(t, uplink_bytes, downlink_bytes)`` triples and handed to the sink
+    at flush; the foreground RateWindow with the fold loops' shared
+    demand-split specialization (:func:`_background_split`, falling back
+    to the live ``_demand_split``); the two drop-tail queues (contents,
+    bytes, and the handover-inflated capacity/drop-layer); the token
+    bucket policer; the RLF timer generation; the handover save/restore
+    pair; the ``radio.outage`` span walk; and plain sums — air, link,
+    middlebox and gateway FlowStats and metric counters — applied once.
 
     Same-time event ordering follows the same tie contract as the fold
     loops; the only batched events are the downlink LAN and backhaul
@@ -1061,7 +1158,6 @@ class _GeneralRun:
 
         self.wl = spec.workload
         self.radio = spec.radio
-        self.air = spec.air
         self.modem = spec.modem
         self.bearer = spec.bearer
         self.ue = spec.ue
@@ -1072,32 +1168,45 @@ class _GeneralRun:
         self.device = spec.device
 
         profile = spec.workload.profile
+        self.wl_random = spec.workload._rng.random
+        self.shape = _frame_shape(profile)
         self.frame_dt = 1.0 / profile.fps
         self.packet_bytes = profile.packet_bytes
 
         air = spec.air
+        self.air_random = air._rng.random
         self.capacity = air.capacity_bps
         self.cap_usable = air.capacity_bps * air.usable_fraction
         self.prop = air.propagation_delay_s
         self.max_qd = air.max_queue_delay_s
+        split = _background_split(air._background, spec.air_qci)
+        self.split_general = split is None
+        self.bg_higher, self.bg_same = split or (0.0, 0.0)
+        # Foreground RateWindow mirror, as in the fold loops.
+        self.window = RateWindow()
+        self.win_samples = self.window._samples
+        self.win_bits = 0
 
         rp = spec.radio.profile
+        self.walk = (
+            rp.base_rss_dbm, rp.rss_noise_std, rp.rss_floor_dbm,
+            rp.rss_ceiling_dbm, rp.base_loss, rp.loss_at_floor,
+        )
         self.mean_outage = rp.mean_outage_s
         self.mean_uptime = rp.mean_uptime_s
         self.rss_dt = rp.rss_sample_interval_s
 
         rrc = spec.rrc
-        self.rrc_connected = False  # eligibility requires IDLE at start
+        self.connected = False  # eligibility requires IDLE at start
         self.release_at = _INF
         self.release_seq = 0
         self.timeout = rrc.inactivity_timeout_s
         self.check_dt = rrc.counter_check_interval_s
         self.check_gen = 0
-        self.sink = rrc.report_sink
+        self.reports: list | None = [] if rrc.report_sink is not None else None
         self.setups = 0
         self.releases = 0
         self.checks_sent = 0
-        self.served = 0
 
         # Sender-side packet sequence mirror: EdgeDevice.send (UL) /
         # EdgeServer.send (DL) stamp ``seq=next(self._seq)`` on every
@@ -1115,18 +1224,27 @@ class _GeneralRun:
         self.ulq_cap = spec.access._ul_buffer.capacity_bytes
 
         # Token-bucket policer mirror (Spgw._policers[flow_id]).
+        self.policy = spec.spgw.policy
         self.p_rate: float | None = None
         self.p_burst = 0.0
         self.p_tokens = 0.0
         self.p_last = 0.0
 
-        # Gateway metric sums, flushed once (the registry's per-call key
-        # formatting dominates the hot path; counters are plain sums so
-        # one inc at flush is observably identical).
+        # Plain sums flushed once: air, link (backhaul UL / LAN DL) and
+        # middlebox FlowStats, and the gateway's drop stats and metric
+        # counters (the registry's per-call key formatting dominates the
+        # hot path; counters are plain sums so one inc at flush is
+        # observably identical).
+        self.off_p = self.off_b = self.drop_p = self.drop_b = 0
+        self.trans_p = self.trans_b = 0
+        self.link_sent_p = self.link_sent_b = 0
+        self.link_del_p = self.link_del_b = 0
+        self.mb_pass_p = self.mb_pass_b = 0
+        self.mb_drop_p = self.mb_drop_b = 0
+        self.detached_p = self.drop_detached = 0
+        self.policed_p = self.drop_policed = 0
         self.charged_ul = 0
         self.charged_dl = 0
-        self.drop_detached = 0
-        self.drop_policed = 0
 
         self.rlf_gen = 0
         # Handover break save/restore mirror (HandoverProcess._saved_*).
@@ -1186,7 +1304,7 @@ class _GeneralRun:
             # on a time tie it fires first unless the popped event was
             # scheduled even earlier (an absorbed chain head or a
             # long-armed outage toggle carries the smaller seq).
-            if self.rrc_connected:
+            if self.connected:
                 ra = self.release_at
                 if ra < te or (ra == te and self.release_seq < ev_seq):
                     self._fire_release()
@@ -1209,7 +1327,7 @@ class _GeneralRun:
             elif kind == _K_CHECK:
                 # Stale generations are cancelled timers; a live timer
                 # firing while IDLE does not re-arm (rrc._periodic_check).
-                if a == self.check_gen and self.rrc_connected:
+                if a == self.check_gen and self.connected:
                     self._counter_check(te)
                     self._push(te + self.check_dt, _K_CHECK, self.check_gen)
             elif kind == _K_OUT_BEGIN:
@@ -1237,7 +1355,7 @@ class _GeneralRun:
             elif kind == _K_DL_DELIVER:
                 # Fault-delayed (or duplicated) downlink delivery: the
                 # pipe's deferred ue.deliver -> device.dl_monitor.
-                self.device.dl_monitor.counter.add(te, a)
+                _count(self.device.dl_monitor.counter, te, a)
             else:  # _K_RSS
                 radio = self.radio
                 radio._walk_rss()
@@ -1249,28 +1367,25 @@ class _GeneralRun:
         # A release armed before the horizon's edge still fires inside
         # the settle window even with no later event left to trigger
         # the lazy check.
-        if self.rrc_connected and self.release_at <= end:
+        if self.connected and self.release_at <= end:
             self._fire_release()
 
     # ----------------------------------------------------------------- RRC
 
     def _counter_check(self, t: float) -> None:
-        # rrc.perform_counter_check: the modem counters are live, so the
-        # response reads their real totals at this wheel instant.
+        # rrc.perform_counter_check: the modem counters are live (a
+        # counter reset replaces them), so the report reads their real
+        # totals at this wheel instant.
         self.checks_sent += 1
-        self.served += 1
-        if self.sink is not None:
-            self.sink(CounterCheckResponse(
-                t=t,
-                uplink_bytes=self.modem.ul_sent.total,
-                downlink_bytes=self.modem.dl_received.total,
-            ))
+        if self.reports is not None:
+            modem = self.modem
+            self.reports.append((t, modem.ul_sent._total, modem.dl_received._total))
 
     def _fire_release(self) -> None:
         # rrc._release_on_inactivity at the armed deadline.
         self._counter_check(self.release_at)
         self.releases += 1
-        self.rrc_connected = False
+        self.connected = False
         self.check_gen += 1
         self.release_at = _INF
 
@@ -1279,8 +1394,8 @@ class _GeneralRun:
         # then the release timer re-armed — which consumes a loop seq on
         # *every* activity; reserve it so same-time ties resolve exactly
         # as the reference's.
-        if not self.rrc_connected:
-            self.rrc_connected = True
+        if not self.connected:
+            self.connected = True
             self.setups += 1
             if self.check_dt is not None:
                 self._push(te + self.check_dt, _K_CHECK, self.check_gen)
@@ -1291,20 +1406,27 @@ class _GeneralRun:
     # ----------------------------------------------------------------- air
 
     def _air_submit(self, te: float, size: int, created: float, pkt_seq: int = 0) -> None:
-        # AirInterface.submit with ``loop.now()`` == te made explicit.
-        air = self.air
-        qci = self.spec.air_qci
-        window = air._foreground.get(qci)
-        if window is None:
-            window = RateWindow()
-            air._foreground[qci] = window
-        window.observe(te, size)
-        air.offered.packets += 1
-        air.offered.bytes += size
-        u = air._rng.random()
-        higher, same = air._demand_split(qci, te)
-        # drop_probability, op for op (cap × usable_fraction is the same
-        # float as the precomputed product; max/min unrolled).
+        # AirInterface.submit with ``loop.now()`` == te made explicit:
+        # RateWindow.observe (window_s = 1.0) on the mirrored window, the
+        # drop draw, then drop_probability and queue_delay op for op
+        # (cap × usable_fraction is the same float as the precomputed
+        # product; max/min unrolled).
+        bits = size * 8
+        samples = self.win_samples
+        samples.append((te, bits))
+        win_bits = self.win_bits + bits
+        cutoff = te - 1.0
+        while samples and samples[0][0] <= cutoff:
+            win_bits -= samples.popleft()[1]
+        self.win_bits = win_bits
+        self.off_p += 1
+        self.off_b += size
+        u = self.air_random()
+        if self.split_general:
+            higher, same = _live_split(self.spec, self.window, te, win_bits)
+        else:
+            higher = self.bg_higher
+            same = self.bg_same + win_bits / 1.0  # RateWindow.rate_bps
         usable = self.cap_usable - higher
         if usable < 0.0:
             usable = 0.0
@@ -1315,8 +1437,8 @@ class _GeneralRun:
         else:
             p = 1.0 - usable / same
         if u < p:
-            air.dropped.packets += 1
-            air.dropped.bytes += size
+            self.drop_p += 1
+            self.drop_b += size
             return
         # queue_delay re-runs _demand_split at the same instant with
         # unchanged window state — reuse (higher, same).
@@ -1330,19 +1452,17 @@ class _GeneralRun:
             if qd > self.max_qd:
                 qd = self.max_qd
         delay = self.prop + qd + size * 8.0 / self.capacity
-        self._push(te + delay, _K_DELIVER, size, (created, pkt_seq))
+        self.seq += 1
+        heappush(self.heap, (te + delay, self.seq, _K_DELIVER, size, (created, pkt_seq)))
 
     # --------------------------------------------------------------- quota
 
-    def _quota_check(self, t: float, size: int) -> bool:
+    def _quota_check(self, t: float, size: int, used: int) -> bool:
         # Spgw._policed against the mirrored token bucket (the real
         # TokenBucket reads ``loop.now()`` in both ctor and admit, which
-        # is stale here — t is the wheel event time).
-        spgw = self.spgw
-        if spgw.policy is None:
-            return False
-        used = self.bearer.uplink.total + self.bearer.downlink.total
-        rate = spgw.policy.allowed_rate_bps(self.spec.flow_id, used)
+        # is stale here — t is the wheel event time).  ``used`` is the
+        # bearer's charged total, both directions.
+        rate = self.policy.allowed_rate_bps(self.spec.flow_id, used)
         if rate is None:
             self.p_rate = None  # mirrors _policers.pop
             return False
@@ -1412,7 +1532,7 @@ class _GeneralRun:
         # modem count, no buffer, no stats.
         if not self.ue.attached:
             return
-        self.modem.ul_sent.add(t, size)  # counts before the radio check
+        _count(self.modem.ul_sent, t, size)  # counts before the radio check
         if not self.radio.connected:
             self._ulq_push(size, created, pkt_seq)
         else:
@@ -1420,22 +1540,28 @@ class _GeneralRun:
             self._air_submit(t, size, created, pkt_seq)
 
     def _on_frame_ul(self, te: float) -> None:
-        # FrameWorkload._emit_frame with sender = EdgeDevice.send; frame
-        # sizing runs live on the workload (its RNG and iframe counter).
+        # FrameWorkload._emit_frame with sender = EdgeDevice.send.  The
+        # workload's frame counters and RNG stream stay live.  Every chunk
+        # is counted by device.ul_monitor at te: one add per frame.
         wl = self.wl
-        remaining = wl._frame_size()
+        remaining = _frame_size(self.wl_random, wl.frames_sent, self.shape)
         wl.frames_sent += 1
+        wl.bytes_offered += remaining
+        _count(self.device.ul_monitor.counter, te, remaining)
         packet_bytes = self.packet_bytes
-        dev_counter = self.device.ul_monitor.counter
-        radio = self.radio
-        attached = self.ue.attached
         fault = self.fault_ul
+        # UeAccess.send_uplink: a detached UE's packet dies after the
+        # app-level count — no modem count, no buffer, no stats.  Attach
+        # and radio state cannot change inside the handler, so without a
+        # fault pipe the modem counts the whole frame at te.
+        attached = fault is None and self.ue.attached
+        connected = self.radio.connected
+        if attached:
+            _count(self.modem.ul_sent, te, remaining)  # counts before the radio check
         while remaining > 0:
             chunk = remaining if remaining < packet_bytes else packet_bytes
             pkt_seq = self.send_seq  # device.send: seq=next(self._seq)
             self.send_seq += 1
-            dev_counter.add(te, chunk)  # device.ul_monitor.observe
-            wl.bytes_offered += chunk
             if fault is not None:
                 # The injector pipe wraps access.send_uplink, so the fate
                 # decision runs before the attached check, per chunk.
@@ -1451,10 +1577,7 @@ class _GeneralRun:
                     self._push(te + delay, _K_UL_SEND, chunk, (te, pkt_seq))
                 # drop: the chunk dies after the app-level count
             elif attached:
-                # UeAccess.send_uplink: a detached UE's packet dies after
-                # the app-level count — no modem count, no buffer, no stats.
-                self.modem.ul_sent.add(te, chunk)  # counts before the radio check
-                if not radio.connected:
+                if not connected:
                     self._ulq_push(chunk, te, pkt_seq)
                 else:
                     self._rrc_activity(te)
@@ -1465,95 +1588,98 @@ class _GeneralRun:
     def _on_frame_dl(self, te: float) -> None:
         # _emit_frame with sender = EdgeServer.send: per chunk the server
         # monitor counts and the LAN link accepts (depart = now, deliver
-        # at te + lan_s).  One frame's LAN delivers hold consecutive
-        # reference seqs, so they batch into a single wheel event pushed
-        # before the next-frame event, preserving relative order.
+        # at te + lan_s).  All at te, so the monitor takes one add per
+        # frame.  One frame's LAN delivers hold consecutive reference
+        # seqs, so they batch into a single wheel event pushed before the
+        # next-frame event, preserving relative order.
         wl = self.wl
-        remaining = wl._frame_size()
+        size = _frame_size(self.wl_random, wl.frames_sent, self.shape)
         wl.frames_sent += 1
+        wl.bytes_offered += size
+        _count(self.server.dl_monitor.counter, te, size)
         packet_bytes = self.packet_bytes
-        srv_counter = self.server.dl_monitor.counter
-        lan = self.spec.lan_link
-        chunks = []
-        while remaining > 0:
-            chunk = remaining if remaining < packet_bytes else packet_bytes
-            pkt_seq = self.send_seq  # server.send: seq=next(self._seq)
-            self.send_seq += 1
-            srv_counter.add(te, chunk)  # server.dl_monitor.observe
-            lan.sent.packets += 1
-            lan.sent.bytes += chunk
-            if lan._m_sent is not None:
-                lan._m_sent.inc(chunk)
-            wl.bytes_offered += chunk
-            chunks.append((chunk, pkt_seq))
-            remaining -= chunk
-        self._push(te + self.spec.lan_s, _K_LAN, tuple(chunks), te)
-        self._push(te + self.frame_dt, _K_FRAME)
+        # server.send: seq=next(self._seq) per chunk, full chunks first.
+        n_full, last = divmod(size, packet_bytes)
+        first = self.send_seq
+        chunks = [(packet_bytes, first + i) for i in range(n_full)]
+        if last:
+            chunks.append((last, first + n_full))
+        self.send_seq = first + len(chunks)
+        self.link_sent_p += len(chunks)
+        self.link_sent_b += size
+        heap = self.heap
+        seq = self.seq
+        heappush(heap, (te + self.spec.lan_s, seq + 1, _K_LAN, chunks, te))
+        heappush(heap, (te + self.frame_dt, seq + 2, _K_FRAME, 0, 0))
+        self.seq = seq + 2
 
     # ---------------------------------------------------------------- hops
 
-    def _on_lan(self, te: float, chunks: tuple, created: float) -> None:
+    def _on_lan(self, te: float, chunks: list, created: float) -> None:
         # Link._deliver → Spgw.send_downlink per chunk: charge (or drop)
         # at te, SLA verdict at the middlebox, then one batched backhaul
         # event for the surviving chunks (consecutive reference seqs).
-        lan = self.spec.lan_link
-        spgw = self.spgw
+        # Bearer activation and the SLA verdict (every chunk of the frame
+        # has the same age) cannot change inside the handler.
+        self.link_del_p += len(chunks)
+        if not self.bearer.active:
+            nbytes = sum(chunk for chunk, _ in chunks)
+            self.link_del_b += nbytes
+            self.detached_p += len(chunks)
+            self.drop_detached += nbytes
+            return
         sla = self.spec.sla_budget
-        middlebox = self.spec.middlebox
+        aged = sla is not None and te - created > sla
+        policed = self.policy is not None
+        bearer = self.bearer
+        # Every charge lands at te, so the bearer counter takes one add
+        # per frame; the quota check sees the running total.
+        used = bearer.uplink._total + bearer.downlink._total
+        delivered = charged = 0
         passed = []
         for chunk, pkt_seq in chunks:
-            lan.delivered.packets += 1
-            lan.delivered.bytes += chunk
-            if lan._m_delivered is not None:
-                lan._m_delivered.inc(chunk)
-            if not self.bearer.active:
-                spgw.detached_drops.packets += 1
-                spgw.detached_drops.bytes += chunk
-                self.drop_detached += chunk
-                continue
-            if self._quota_check(te, chunk):
-                spgw.policed_drops.packets += 1
-                spgw.policed_drops.bytes += chunk
+            delivered += chunk
+            if policed and self._quota_check(te, chunk, used + charged):
+                self.policed_p += 1
                 self.drop_policed += chunk
                 continue
-            self.bearer.count_downlink(te, chunk)
-            self.charged_dl += chunk
-            # SlaMiddlebox.process: age verdict on the charged packet.
-            if sla is not None and te - created > sla:
-                middlebox.dropped.packets += 1
-                middlebox.dropped.bytes += chunk
-                continue
-            middlebox.passed.packets += 1
-            middlebox.passed.bytes += chunk
+            charged += chunk
             passed.append((chunk, pkt_seq))
-        if passed:
-            self._push(te + self.spec.backhaul_s, _K_BH, tuple(passed), created)
+        self.link_del_b += delivered
+        if charged:
+            _count(bearer.downlink, te, charged)
+            self.charged_dl += charged
+        # SlaMiddlebox.process: age verdict on the charged packets.
+        if aged:
+            self.mb_drop_p += len(passed)
+            self.mb_drop_b += charged
+        elif passed:
+            self.mb_pass_p += len(passed)
+            self.mb_pass_b += charged
+            self._push(te + self.spec.backhaul_s, _K_BH, passed, created)
 
-    def _on_bh(self, te: float, chunks: tuple, created: float) -> None:
+    def _on_bh(self, te: float, chunks: list, created: float) -> None:
         # Backhaul deliver → ENodeB.receive_downlink per chunk.
+        if not self.ue.attached:
+            dropped = self.ue.dropped_detached
+            dropped.packets += len(chunks)
+            dropped.bytes += sum(chunk for chunk, _ in chunks)
+            return
         for chunk, pkt_seq in chunks:
-            if not self.ue.attached:
-                self.ue.dropped_detached.packets += 1
-                self.ue.dropped_detached.bytes += chunk
-                continue
             self._rrc_activity(te)
             self._air_submit(te, chunk, created, pkt_seq)
 
     def _on_deliver(self, te: float, size: int, payload: tuple, is_ul: bool) -> None:
         # AirInterface._transmit → ENodeB._air_deliver_ul/_air_deliver_dl.
         created, pkt_seq = payload
-        air = self.air
-        air.transmitted.packets += 1
-        air.transmitted.bytes += size
+        self.trans_p += 1
+        self.trans_b += size
         radio = self.radio
         if is_ul:
             # _air_deliver_ul draws survival unconditionally.
-            if radio.survives_air():
-                link = self.spec.backhaul_link
-                link.sent.packets += 1
-                link.sent.bytes += size
-                if link._m_sent is not None:
-                    link._m_sent.inc(size)
+            if _survives_air(radio, self.walk):
+                self.link_sent_p += 1
+                self.link_sent_b += size
                 self._push(te + self.spec.backhaul_s, _K_GW, size, created)
             return
         ue = self.ue
@@ -1562,48 +1688,45 @@ class _GeneralRun:
             ue.dropped_detached.bytes += size
         elif not radio.connected:
             self._dlq_push(size, created, pkt_seq)  # buffered for the outage drain
-        elif radio.survives_air():
-            self.modem.dl_received.add(te, size)  # modem.count_downlink
+        elif _survives_air(radio, self.walk):
+            _count(self.modem.dl_received, te, size)  # modem.count_downlink
             fault = self.fault_dl
             if fault is not None:
                 # The injector pipe wraps ue.deliver, so the fate decision
                 # runs after the modem count, before the device monitor.
                 action, delay = fault(te)
                 if action is None:
-                    self.device.dl_monitor.counter.add(te, size)
+                    _count(self.device.dl_monitor.counter, te, size)
                 elif action == "delay":
                     self._push(te + delay, _K_DL_DELIVER, size)
                 elif action == "dup":
-                    self.device.dl_monitor.counter.add(te, size)
+                    _count(self.device.dl_monitor.counter, te, size)
                     self._push(te + delay, _K_DL_DELIVER, size)
                 # drop: counted at the modem, never at the device
             else:
-                self.device.dl_monitor.counter.add(te, size)  # device.deliver
+                _count(self.device.dl_monitor.counter, te, size)  # device.deliver
         # else: phy-rss loss, counted nowhere
 
     def _on_gw(self, te: float, size: int, created: float) -> None:
         # Backhaul Link._deliver → Spgw.receive_uplink.
-        link = self.spec.backhaul_link
-        link.delivered.packets += 1
-        link.delivered.bytes += size
-        if link._m_delivered is not None:
-            link._m_delivered.inc(size)
-        spgw = self.spgw
+        self.link_del_p += 1
+        self.link_del_b += size
         if not self.bearer.active:
-            spgw.detached_drops.packets += 1
-            spgw.detached_drops.bytes += size
+            self.detached_p += 1
             self.drop_detached += size
             return
-        if self._quota_check(te, size):
-            spgw.policed_drops.packets += 1
-            spgw.policed_drops.bytes += size
+        bearer = self.bearer
+        if self.policy is not None and self._quota_check(
+            te, size, bearer.uplink._total + bearer.downlink._total
+        ):
+            self.policed_p += 1
             self.drop_policed += size
             return
-        self.bearer.count_uplink(te, size)
+        _count(bearer.uplink, te, size)
         self.charged_ul += size
         # EdgeServer._receive_uplink via the registered SPGW sink.
         server = self.server
-        server.ul_monitor.counter.add(te, size)
+        _count(server.ul_monitor.counter, te, size)
         server.stats.received += 1
         server.stats.latencies.append(te - created)
 
@@ -1673,8 +1796,8 @@ class _GeneralRun:
             return
         ue.rlf_count += 1
         # rrc.abort(): leave CONNECTED without a counter check.
-        if self.rrc_connected:
-            self.rrc_connected = False
+        if self.connected:
+            self.connected = False
             self.releases += 1
             self.check_gen += 1
             self.release_at = _INF
@@ -1762,13 +1885,7 @@ class _GeneralRun:
     def _flush(self) -> None:
         spec = self.spec
         spec.workload._until = self.until
-
-        rrc = spec.rrc
-        rrc.state = RrcState.CONNECTED if self.rrc_connected else RrcState.IDLE
-        rrc.setups += self.setups
-        rrc.releases += self.releases
-        rrc.counter_checks_sent += self.checks_sent
-        spec.modem.counter_checks_served += self.served
+        _flush_path(self)
 
         # Rebuild the drop-tail queue contents as real packets (sizes and
         # created_at are what the drain path observes; the qci mirrors
@@ -1806,7 +1923,7 @@ class _GeneralRun:
         # Sender packet-sequence iterator: device.send / server.send
         # consumed one per chunk; park the real iterator at the mirror.
         sender = spec.device if spec.is_uplink else spec.server
-        sender._seq = _count(self.send_seq)
+        sender._seq = _count_from(self.send_seq)
 
         if self.handover is not None:
             self.handover._saved_drop_layer = self.ho_saved_layer
@@ -1820,6 +1937,11 @@ class _GeneralRun:
             policer._last = self.p_last
             self.spgw._policers[spec.flow_id] = policer
 
+        spgw = self.spgw
+        spgw.detached_drops.packets += self.detached_p
+        spgw.detached_drops.bytes += self.drop_detached
+        spgw.policed_drops.packets += self.policed_p
+        spgw.policed_drops.bytes += self.drop_policed
         # Gateway metric counters, created lazily like the reference's
         # first-hit path so empty runs snapshot identically.
         metrics = spec.gateway_metrics

@@ -47,6 +47,7 @@ class TieredCache:
         self.hits_disk = 0
         self.misses = 0
         self.spilled = 0
+        self.write_errors = 0
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -86,8 +87,10 @@ class TieredCache:
         durable copy behind (the disk store publishes atomically).
         """
         self._insert(key, data)
-        if self.disk is not None:
-            self.disk.put_data(key, data)
+        if self.disk is not None and self.disk.put_data(key, data) is None:
+            # A failed durable write costs a recompute in a later
+            # process, never this one: the memory copy still serves.
+            self.write_errors += 1
 
     def _insert(self, key: str, data: dict) -> None:
         if key in self._memory:

@@ -20,8 +20,11 @@ own ``max_examples`` below the profile value and carry
 ``-m "not slow"`` filter wired into ``addopts``.
 """
 
+import errno
 import os
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -40,3 +43,24 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Fill the disk under a directory: ``full_disk(directory)`` makes
+    every later ``Path.write_text`` into it write half its data, then
+    raise ENOSPC, as a write into a full filesystem does."""
+
+    def install(directory):
+        directory = Path(directory)
+        write_text = Path.write_text
+
+        def failing_write_text(path, data, *args, **kwargs):
+            if path.parent != directory:
+                return write_text(path, data, *args, **kwargs)
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(Path, "write_text", failing_write_text)
+
+    return install

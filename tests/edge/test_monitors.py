@@ -1,8 +1,13 @@
 """Traffic monitors: skewed cycle boundaries and RRC-report assembly."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cellular.rrc import CounterCheckResponse
+from repro.netsim.counters import CumulativeCounter
 from repro.edge.monitors import CounterCheckMonitor, TrafficMonitor, record_error_ratio
 from repro.netsim.events import EventLoop
 from repro.netsim.packet import Direction, Packet
@@ -127,6 +132,126 @@ class TestCounterCheckMonitor:
         loop.run()
         assert monitor.reports_received == 1
         assert monitor.total == 10
+
+
+def monitor_state(monitor):
+    return (
+        monitor._dl_reports._times,
+        monitor._dl_reports._cums,
+        monitor._dl_reports.total,
+        monitor._ul_reports._times,
+        monitor._ul_reports._cums,
+        monitor._ul_reports.total,
+        monitor._last_dl,
+        monitor._last_ul,
+        monitor.reports_received,
+        monitor.resets_observed,
+    )
+
+
+class _ValidatedOracle:
+    """Per-report ingestion written against the public counter API: the
+    delta/reset rules applied one report at a time through the validating
+    ``CumulativeCounter.add``."""
+
+    def __init__(self):
+        self._dl_reports = CumulativeCounter()
+        self._ul_reports = CumulativeCounter()
+        self._last_dl = self._last_ul = 0
+        self.reports_received = self.resets_observed = 0
+
+    def on_report(self, t, ul, dl):
+        dl_delta, ul_delta = dl - self._last_dl, ul - self._last_ul
+        if dl_delta < 0 or ul_delta < 0:
+            self.resets_observed += 1
+            dl_delta = dl if dl_delta < 0 else dl_delta
+            ul_delta = ul if ul_delta < 0 else ul_delta
+        self._dl_reports.add(t, dl_delta)
+        self._ul_reports.add(t, ul_delta)
+        self._last_dl, self._last_ul = dl, ul
+        self.reports_received += 1
+
+
+@st.composite
+def report_sequences(draw):
+    """COUNTER CHECK report streams: steady growth, same-instant repeats,
+    counter resets (backwards byte jumps on one or both counters), and
+    rarely a backwards timestamp or a corrupt negative count."""
+    t = draw(st.floats(0.0, 100.0))
+    ul = dl = 0
+    reports = []
+    steps = ["grow"] * 4 + ["repeat", "reset", "reset-one", "backwards", "negative"]
+    for step in draw(st.lists(st.sampled_from(steps), max_size=25)):
+        if step == "grow":
+            t += draw(st.floats(0.001, 10.0))
+            ul += draw(st.integers(0, 5_000))
+            dl += draw(st.integers(0, 50_000))
+        elif step == "repeat":
+            ul += draw(st.integers(0, 100))
+            dl += draw(st.integers(0, 1_000))
+        elif step == "reset":
+            t += draw(st.floats(0.0, 10.0))
+            ul = draw(st.integers(0, ul))
+            dl = draw(st.integers(0, max(dl, 0)))
+        elif step == "reset-one":
+            t += draw(st.floats(0.0, 10.0))
+            dl = draw(st.integers(0, max(dl, 0)))
+        elif step == "backwards":
+            t -= draw(st.floats(0.001, 5.0))
+        else:
+            dl = -draw(st.integers(1, 100))
+        reports.append((t, ul, dl))
+    return reports
+
+
+def ingest_outcome(ingest):
+    try:
+        ingest()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+class TestBulkIngestion:
+    @settings(max_examples=300, deadline=None)
+    @given(reports=report_sequences(), split=st.integers(0, 25))
+    def test_batched_call_matches_per_report(self, reports, split):
+        """One (or two) ingest calls leave the monitor exactly as
+        per-report on_report does, or raise the same ValueError."""
+        per_report = CounterCheckMonitor(EventLoop())
+        batched = CounterCheckMonitor(EventLoop())
+        halves = CounterCheckMonitor(EventLoop())
+
+        def one_by_one():
+            for t, ul, dl in reports:
+                per_report.on_report(CounterCheckResponse(t, ul, dl))
+
+        def in_halves():
+            halves.ingest(reports[:split])
+            halves.ingest(iter(reports[split:]))
+
+        error = ingest_outcome(one_by_one)
+        assert ingest_outcome(lambda: batched.ingest(reports)) == error
+        assert ingest_outcome(in_halves) == error
+        assert monitor_state(batched) == monitor_state(per_report)
+        assert monitor_state(halves) == monitor_state(per_report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reports=report_sequences())
+    def test_matches_validated_oracle(self, reports):
+        """The bulk loop keeps the validating per-report semantics: the
+        same points and bookkeeping, and on a rejected report the same
+        message with the state the reports before it left."""
+        oracle = _ValidatedOracle()
+        error = None
+        for t, ul, dl in reports:
+            before = copy.deepcopy(monitor_state(oracle))
+            error = ingest_outcome(lambda: oracle.on_report(t, ul, dl))
+            if error is not None:
+                break
+        monitor = CounterCheckMonitor(EventLoop())
+        assert ingest_outcome(lambda: monitor.ingest(reports)) == error
+        assert monitor_state(monitor) == (before if error else monitor_state(oracle))
 
 
 class TestErrorRatio:

@@ -282,3 +282,21 @@ class TestRunFleet:
         result = run_fleet(uneven, workers=0, cache=False)
         assert result.population == 5
         assert result.n_shards == 3
+
+
+class TestCacheWriteFailure:
+    def test_full_cache_disk_costs_a_recompute_not_the_sweep(self, tmp_path, full_disk):
+        """ENOSPC on every shard publish: run_fleet keeps every shard it
+        simulated, counts the failed writes in its RunReport (never in the
+        aggregate) and reports them on the engine line."""
+        cache = ResultCache(tmp_path / "cache")
+        cache.directory.mkdir()
+        full_disk(cache.directory)
+        report = RunReport()
+        result = run_fleet(FAST, workers=0, cache=cache, report=report)
+        shards = len(build_shards(FAST))
+        assert (report.simulated, report.cached, report.cache_write_errors) == (shards, 0, shards)
+        assert list(cache.directory.iterdir()) == []
+        assert aggregate_json(result) == aggregate_json(run_fleet(FAST, workers=0, cache=None))
+        engine_line = f"engine: {shards} shards simulated, 0 cached, {shards} cache writes failed"
+        assert engine_line in result.render().splitlines()

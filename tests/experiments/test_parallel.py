@@ -167,6 +167,23 @@ class TestResultCache:
         leftovers = list((tmp_path / "cache").glob("*.tmp"))
         assert leftovers == []
 
+    def test_failed_publish_is_a_counted_miss(self, tmp_path, full_disk):
+        """A full cache disk fails the publish, not the sweep: put_data
+        returns None and leaves no temp file, run_scenarios counts the
+        failure, and a later run simply simulates again."""
+        cache = ResultCache(tmp_path / "cache")
+        cache.directory.mkdir()
+        full_disk(cache.directory)
+        assert cache.put_data("k", {"ok": 1}) is None
+        assert list(cache.directory.iterdir()) == []
+
+        report = RunReport()
+        results = run_scenarios(FAST[:2], workers=0, cache=cache, report=report)
+        assert (report.simulated, report.cached, report.cache_write_errors) == (2, 0, 2)
+        assert list(cache.directory.iterdir()) == []
+        for config, result in zip(FAST[:2], results):
+            assert outcome_volumes(result) == outcome_volumes(run_scenario(config))
+
     def test_get_data_drops_non_dict_entries(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cache.put_data("k", {"ok": 1})

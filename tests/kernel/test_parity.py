@@ -155,10 +155,52 @@ def flow(stats):
     return (stats.packets, stats.bytes)
 
 
+def monitor_state(runner):
+    monitor = runner.counter_monitor
+    return (
+        monitor.reports_received,
+        monitor.resets_observed,
+        monitor._last_dl,
+        monitor._last_ul,
+    )
+
+
+def bearer_stamps(runner):
+    bearer = runner.network.bearers.by_flow(runner.flow_id)
+    return (bearer.first_usage, bearer.last_usage)
+
+
 @pytest.mark.parametrize("config", MATRIX)
 def test_scenario_bit_exact(config):
-    ref = ScenarioRunner(config, kernel="reference")
-    bat = ScenarioRunner(config, kernel="batched")
+    assert_bit_exact(
+        ScenarioRunner(config, kernel="reference"), ScenarioRunner(config, kernel="batched")
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(WEBCAM_UDP_UL.with_(background_mbps=80.0, **SHORT), id="fold-ul"),
+        pytest.param(VRIDGE_DL.with_(background_mbps=80.0, **SHORT), id="fold-dl"),
+        pytest.param(
+            VRIDGE_DL.with_(background_mbps=80.0, outage_eta=0.08, **SHORT), id="general-dl"
+        ),
+    ],
+)
+def test_two_background_classes_bit_exact(config):
+    """With two background classes neither executor can use the
+    one-class demand-split specialization; both call the live
+    ``_demand_split`` over the lane's window."""
+    runners = []
+    for kernel in ("reference", "batched"):
+        runner = ScenarioRunner(config, kernel=kernel)
+        for air in (runner.network.enodeb.uplink_air, runner.network.enodeb.downlink_air):
+            air.set_background(5, 50e6)  # a higher-priority class beside QCI 9
+        runners.append(runner)
+    assert_bit_exact(*runners)
+
+
+def assert_bit_exact(ref, bat):
     ref_result = ref.run()
     bat_result = bat.run()
     assert bat.kernel_used == "batched"
@@ -194,6 +236,11 @@ def test_scenario_bit_exact(config):
     ):
         assert counter_points(get(ref)) == counter_points(get(bat))
 
+    # State the lanes write in bulk at flush: the operator record's
+    # ingestion bookkeeping and the bearer's usage stamps.
+    assert monitor_state(ref) == monitor_state(bat)
+    assert bearer_stamps(ref) == bearer_stamps(bat)
+
     # RNG-coupled internals: one extra or missing draw diverges these.
     assert ref.access.radio._current_rss == bat.access.radio._current_rss
     assert ref.access.radio.rss_history == bat.access.radio.rss_history
@@ -216,6 +263,39 @@ def test_scenario_bit_exact(config):
         )
     assert flow(ref.network.middlebox.passed) == flow(bat.network.middlebox.passed)
     assert flow(ref.network.middlebox.dropped) == flow(bat.network.middlebox.dropped)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(WEBCAM_UDP_UL.with_(**SHORT), id="fold-ul"),
+        pytest.param(VRIDGE_DL.with_(**SHORT), id="fold-dl"),
+        pytest.param(VRIDGE_DL.with_(outage_eta=0.08, **SHORT), id="general-dl-outage"),
+        pytest.param(
+            WEBCAM_UDP_UL.with_(
+                faults=FAULT_PROFILES["chaos"], n_cycles=2, cycle_duration_s=60.0
+            ),
+            id="general-ul-counter-reset",
+        ),
+    ],
+)
+def test_foreign_report_sink_gets_reference_responses(config):
+    """A report sink other than the operator's monitor (here a plain
+    ``list.append``) receives the same responses, in the same order, from
+    a batched lane as from the reference engine."""
+
+    def captured(kernel):
+        runner = ScenarioRunner(config, kernel=kernel)
+        reports = []
+        runner.network.enodeb.ue(str(runner.device.imsi)).rrc.report_sink = reports.append
+        runner.simulate()
+        assert runner.kernel_used == kernel
+        assert runner.counter_monitor.reports_received == 0
+        return reports
+
+    reference = captured("reference")
+    assert reference
+    assert captured("batched") == reference
 
 
 def metrics_key(snapshot):

@@ -107,6 +107,13 @@ def deep_state(runner, result):
                 bearer.downlink,
             )
         ],
+        "counter_monitor": (
+            runner.counter_monitor.reports_received,
+            runner.counter_monitor.resets_observed,
+            runner.counter_monitor._last_dl,
+            runner.counter_monitor._last_ul,
+        ),
+        "bearer_usage": (bearer.first_usage, bearer.last_usage),
         "radio": (radio._current_rss, radio.connected, list(radio.rss_history)),
         "rrc": (
             ue.rrc.state,

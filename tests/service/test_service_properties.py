@@ -68,6 +68,15 @@ class TestTieredCacheModel:
             assert cache.hits_memory + cache.hits_disk == len(puts)
             assert len(cache) <= capacity
 
+    def test_failed_disk_write_is_tolerated(self, tmp_path, full_disk):
+        """A failed write-through is counted; the memory copy serves."""
+        cache = TieredCache(max_entries=2, disk=ResultCache(tmp_path))
+        full_disk(tmp_path)
+        cache.put("k", {"v": 1})
+        assert cache.write_errors == 1
+        assert cache.get("k") == {"v": 1}
+        assert list(tmp_path.iterdir()) == []
+
     @given(capacity=st.integers(1, 5), n=st.integers(1, 20))
     def test_spill_counter_equals_evictions(self, capacity, n):
         cache = TieredCache(max_entries=capacity)
