@@ -101,10 +101,10 @@ def test_ablation_rrc_vs_userspace_monitor(benchmark, archive):
     def run():
         runner = ScenarioRunner(VRIDGE_DL.with_(n_cycles=2, seed=91))
         runner.simulate()
-        usage = runner.collect()[0]
+        usage = runner.session.collect()[0]
         # Strawman 1: the operator reads the device's user-space counter,
         # which a selfish edge scales down to 30 %.
-        strawman_view = ScalingTamper(runner.device.dl_monitor, 0.3)
+        strawman_view = ScalingTamper(runner.session.device.dl_monitor, 0.3)
         strawman_record = strawman_view.reported_usage(
             usage.cycle.t_start, usage.cycle.t_end
         )

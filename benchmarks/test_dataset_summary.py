@@ -15,12 +15,12 @@ from repro.experiments.scenarios import GAMING_DL, VRIDGE_DL, WEBCAM_UDP_UL
 def _campaign(config, n_cycles=4, cdr_period_s=5.0):
     runner = ScenarioRunner(config.with_(n_cycles=n_cycles))
     horizon = n_cycles * config.cycle_duration_s
-    runner.workload.start(until=horizon)
+    runner.session.workload.start(until=horizon)
     # Emit CDRs at the OpenEPC-like reporting period while traffic runs.
     t = cdr_period_s
     while t <= horizon:
         runner.loop.run_until(t)
-        runner.network.ofcs.close_cycle(runner.flow_id)
+        runner.network.ofcs.close_cycle(runner.session.flow_id)
         t += cdr_period_s
     records = runner.network.ofcs.records
     volume = sum(r.datavolume_uplink + r.datavolume_downlink for r in records)

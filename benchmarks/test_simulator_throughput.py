@@ -68,7 +68,7 @@ def _timed_simulate(config, kernel):
     t0 = time.process_time()
     runner.simulate()
     dt = time.process_time() - t0
-    assert runner.kernel_used == kernel
+    assert runner.session.kernel_used == kernel
     enb = runner.network.enodeb
     packets = enb.uplink_air.offered.packets + enb.downlink_air.offered.packets
     return packets, dt

@@ -33,19 +33,19 @@ def main() -> None:
     print(f"billing epoch: {N_CYCLES} cycles of congested UDP WebCam uplink\n")
     runner = ScenarioRunner(config)
     horizon = N_CYCLES * config.cycle_duration_s
-    runner.workload.start(until=horizon)
+    runner.session.workload.start(until=horizon)
 
     expected_total = 0.0
     for k in range(N_CYCLES):
         t_end = (k + 1) * config.cycle_duration_s
         runner.loop.run_until(t_end)
-        runner.network.enodeb.ue(str(runner.device.imsi)).rrc.perform_counter_check()
-        usage = runner._cycle_usage(k * config.cycle_duration_s, t_end, 0.0, 0.0)
+        runner.network.enodeb.ue(str(runner.session.device.imsi)).rrc.perform_counter_check()
+        usage = runner.session._cycle_usage(k * config.cycle_duration_s, t_end, 0.0, 0.0)
         expected = plan.expected_charge(usage.true_sent, usage.true_received)
         expected_total += expected
 
         negotiation = NetworkNegotiation(
-            runner.network, str(runner.device.imsi), plan, usage.cycle.t_start,
+            runner.network, str(runner.session.device.imsi), plan, usage.cycle.t_start,
             OptimalStrategy(
                 PartyKnowledge(PartyRole.EDGE, usage.edge_sent_record,
                                usage.edge_received_estimate),

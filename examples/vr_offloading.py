@@ -26,7 +26,7 @@ def main() -> None:
     print("simulating one VR charging cycle (GVSP downlink, congested cell)...")
     runner = ScenarioRunner(config)
     runner.simulate()
-    usage = runner.collect()[0]
+    usage = runner.session.collect()[0]
 
     print(f"  server sent            : {usage.true_sent / 1e6:9.2f} MB")
     print(f"  headset received       : {usage.true_received / 1e6:9.2f} MB")

@@ -144,11 +144,11 @@ def figure4(seed: int = 4, duration_s: float = 300.0, eta: float = 0.14) -> Figu
 
     runner = ScenarioRunner(config)
     runner.simulate()
-    device = runner.device.dl_monitor.counter
-    bearer = runner.network.bearers.by_flow(runner.flow_id)
+    device = runner.session.device.dl_monitor.counter
+    bearer = runner.network.bearers.by_flow(runner.session.flow_id)
     assert bearer is not None
     gateway = bearer.downlink
-    radio = runner.access.radio
+    radio = runner.session.access.radio
 
     times, dev_rate, net_rate, gap, rss, conn = [], [], [], [], [], []
     rss_by_second = {int(s.t): s for s in radio.rss_history}

@@ -1,4 +1,13 @@
-"""Multi-UE shard simulation: many subscribers, one network, one loop.
+"""Per-UE sessions and multi-UE shard simulation.
+
+:class:`_UeSession` is the one per-UE stack: device and server endpoints
+with their monitors, the operator's RRC COUNTER CHECK monitor, attach,
+bearer, quota, handover, SLA budget, workload and fault pipes, plus the
+kernel-or-reference engine choice and the per-cycle record extraction
+and scheme evaluation.  Both runners build their UEs with it: the fleet
+shard runner below puts many sessions on one loop, and the single-UE
+:class:`~repro.experiments.runner.ScenarioRunner` builds one standalone
+session on its own loop and network.
 
 A fleet shard is a batch of UEs simulated together on a single
 :class:`~repro.netsim.events.EventLoop` and one
@@ -7,8 +16,7 @@ serving every bearer, which is exactly the many-bearers-per-gateway shape
 a production deployment has.  Each UE gets its *own cell* (the paper's
 per-subscriber charging physics is per-radio-link; cross-UE air
 contention is a different experiment, available via the fleet config's
-``background_mbps``), its own device/server endpoints, monitors, and
-workload.
+``background_mbps``) and its own session.
 
 Determinism contract:
 
@@ -36,13 +44,16 @@ from ..cellular import (
     ENodeBConfig,
     HandoverConfig,
     HandoverProcess,
+    Imsi,
     NetworkConfig,
     QuotaPolicy,
+    RadioProfile,
+    UeContext,
     make_test_imsi,
 )
 from ..core import CycleUsage, DataPlan, SchemeOutcome
 from ..edge import CounterCheckMonitor, EdgeDevice, EdgeServer
-from ..kernel import SETTLE_S, build_session_lane, resolve_kernel, run_lane
+from ..kernel import SETTLE_S, LaneSpec, build_session_lane, resolve_kernel, run_lane
 from ..netsim import Direction, EventLoop, FaultInjector, StreamRegistry
 from ..obs import MetricsRegistry, MetricsSnapshot
 from ..workloads import FrameWorkload
@@ -82,19 +93,46 @@ class FleetShardResult:
     metrics: MetricsSnapshot
 
 
+def collect_air_metrics(metrics: MetricsRegistry, network: CellularNetwork) -> None:
+    """Add every cell's air-interface byte totals to direction-labelled gauges."""
+    for enodeb in network.enodebs:
+        for direction, air in (("dl", enodeb.downlink_air), ("ul", enodeb.uplink_air)):
+            metrics.gauge("cellular.air.offered_bytes", direction=direction).add(
+                air.offered.bytes
+            )
+            metrics.gauge("cellular.air.dropped_bytes", direction=direction).add(
+                air.dropped.bytes
+            )
+            metrics.gauge("cellular.air.transmitted_bytes", direction=direction).add(
+                air.transmitted.bytes
+            )
+
+
 class _UeSession:
-    """One subscriber's full stack inside a shard simulation."""
+    """One subscriber's full stack: the only place a UE is built and read.
+
+    Both runners build their UEs here.  A fleet shard puts many sessions
+    on one loop, network and registry, each with a per-UE stream registry
+    and a cell of its own.  A single-UE scenario builds one
+    ``standalone`` session that shares the scenario's registry with the
+    network; it keeps the default ``operator-rrc`` monitor name, records
+    radio outages as ``radio.outage`` spans, and its kernel lane refuses
+    a loop that holds anything beyond the session's own events.
+    """
 
     def __init__(
         self,
         loop: EventLoop,
         network: CellularNetwork,
         metrics: MetricsRegistry,
-        ue_index: int,
-        archetype: str,
+        rng: StreamRegistry,
         config: ScenarioConfig,
-        seed: int,
-        cell: int,
+        *,
+        ue_index: int,
+        imsi: Imsi,
+        archetype: str = "",
+        cell: int = 0,
+        standalone: bool = False,
     ) -> None:
         self.ue_index = ue_index
         self.archetype = archetype
@@ -103,14 +141,18 @@ class _UeSession:
         self.loop = loop
         self.network = network
         self.metrics = metrics
-        # Per-UE randomness: a registry seeded only by the UE's fleet-wide
-        # seed, so the session's draws are shard-composition independent.
-        self.rng = StreamRegistry(seed)
+        self.rng = rng
+        self.standalone = standalone
+        self.kernel_used: str | None = None
+        self.kernel_fallback_reason: str | None = None
         self.plan = DataPlan(c=config.c, cycle_duration_s=config.cycle_duration_s)
-        imsi = make_test_imsi(ue_index + 1)
         self.imsi = imsi
         self.flow_id = f"{config.workload.name}:ue{ue_index}"
-        self.counter_monitor = CounterCheckMonitor(loop, name=f"operator-rrc:ue{ue_index}")
+        self.counter_monitor = (
+            CounterCheckMonitor(loop)
+            if standalone
+            else CounterCheckMonitor(loop, name=f"operator-rrc:ue{ue_index}")
+        )
         self.device = EdgeDevice(loop, imsi, self.flow_id)
         access = network.attach_device(
             imsi,
@@ -122,6 +164,12 @@ class _UeSession:
         )
         self.device.bind(access)
         self.access = access
+        # Radio outages become spans on the simulated clock (event-driven
+        # open/close; a snapshot taken mid-outage closes them virtually).
+        self._outage_span = None
+        if standalone:
+            access.radio.on_outage_start.append(self._outage_started)
+            access.radio.on_outage_end.append(self._outage_ended)
         network.create_bearer(imsi, self.flow_id, qci=config.workload.qci)
         if config.quota_bytes is not None:
             network.pcrf.set_quota(
@@ -129,16 +177,18 @@ class _UeSession:
                 QuotaPolicy(config.quota_bytes, throttle_bps=config.quota_throttle_bps),
             )
         self.server = EdgeServer(loop, network, self.flow_id)
-        # Link-layer mobility rides the *shard* registry (like the radio
-        # processes): a shared process keyed by IMSI, per the determinism
-        # contract above.
+        if config.background_mbps > 0:
+            rate = config.background_mbps * 1e6
+            network.set_background_load(rate, rate, cell=cell)
+        # Link-layer mobility rides the network's registry (like the radio
+        # processes): in a shard that is the shared registry, keyed by
+        # IMSI, per the determinism contract above.
         self.handover: HandoverProcess | None = None
         if config.handover_interval_s is not None:
-            ue = network.serving_enodeb(str(imsi)).ue(str(imsi))
             self.handover = HandoverProcess(
                 loop,
                 network.rng,
-                ue,
+                self._ue(),
                 HandoverConfig(
                     interval_s=config.handover_interval_s,
                     interruption_s=config.handover_interruption_s,
@@ -150,18 +200,31 @@ class _UeSession:
             network.set_sla_budget(self.flow_id, config.sla_budget_s)
         sender = self.device if config.direction is Direction.UPLINK else self.server
         self.workload = FrameWorkload(loop, self.rng, config.workload, sender)
+        # Chaos layer: wrap the device's uplink send path and downlink
+        # delivery path through the injector's uniform hook, and arm any
+        # modem counter resets.  Clock faults apply at record extraction.
         self.fault_injector: FaultInjector | None = None
         if config.faults is not None and not config.faults.is_empty:
             injector = FaultInjector(loop, self.rng, config.faults, metrics=metrics)
             access.send_uplink = injector.pipe("uplink", access.send_uplink)
-            ue = network.serving_enodeb(str(imsi)).ue(str(imsi))
+            ue = self._ue()
             ue.deliver = injector.pipe("downlink", ue.deliver)
             injector.attach_modem(access.modem, point="modem")
             self.fault_injector = injector
 
-    def _radio_profile(self):
-        from ..cellular import RadioProfile
+    def _ue(self) -> UeContext:
+        return self.network.serving_enodeb(str(self.imsi)).ue(str(self.imsi))
 
+    def _outage_started(self) -> None:
+        if self._outage_span is None:
+            self._outage_span = self.metrics.span_open("radio.outage")
+
+    def _outage_ended(self) -> None:
+        if self._outage_span is not None:
+            self._outage_span.close()
+            self._outage_span = None
+
+    def _radio_profile(self) -> RadioProfile:
         config = self.config
         if config.outage_eta is not None:
             return RadioProfile.for_disconnectivity(
@@ -170,6 +233,61 @@ class _UeSession:
                 base_loss=config.base_loss,
             )
         return RadioProfile(base_loss=config.base_loss)
+
+    # -------------------------------------------------------------- running
+
+    def start(self, kernel: str, horizon: float) -> LaneSpec | None:
+        """Put this UE on an engine: return its kernel lane for the caller
+        to run, or start its workload on the reference engine.
+
+        An auto-mode fallback records its reason on the session and in
+        the registry, so fleet coverage regressions surface in the shard
+        snapshot; an explicit ``kernel="reference"`` records nothing, and
+        ``kernel="batched"`` raises instead of falling back.
+        """
+        lane = reason = None
+        if kernel != "reference":
+            lane, reason = build_session_lane(self)
+            if lane is None and kernel == "batched":
+                raise RuntimeError(
+                    f"batched kernel unavailable for UE {self.ue_index}: {reason}"
+                )
+        if lane is not None:
+            self.kernel_used = "batched"
+            return lane
+        self.kernel_used = "reference"
+        if reason is not None:
+            self.kernel_fallback_reason = reason
+            self.metrics.counter("kernel.fallback", reason=reason).inc()
+        self.workload.start(until=horizon)
+        return None
+
+    def final_counter_check(self) -> None:
+        """Run a last RRC COUNTER CHECK so the last cycle's record is fresh."""
+        self._ue().rrc.perform_counter_check()
+
+    def collect_metrics(self) -> None:
+        """Add this UE's passive end-of-run counters to the registry's gauges.
+
+        Gauges are summed, never labelled per UE, so a shard's snapshot
+        stays O(metric names) however many sessions it holds.
+        """
+        m = self.metrics
+        radio = self.access.radio
+        m.gauge("cellular.radio.outages").add(radio.outage_count)
+        m.gauge("cellular.radio.outage_time_s").add(radio.total_outage_time)
+        modem = self.access.modem
+        m.gauge("edge.modem.uplink_bytes").add(modem.ul_sent.total)
+        m.gauge("edge.modem.downlink_bytes").add(modem.dl_received.total)
+        m.gauge("edge.modem.counter_checks").add(modem.counter_checks_served)
+        monitors = (
+            ("device-ul", self.device.ul_monitor),
+            ("device-dl", self.device.dl_monitor),
+            ("server-ul", self.server.ul_monitor),
+            ("server-dl", self.server.dl_monitor),
+        )
+        for point, monitor in monitors:
+            m.gauge("edge.monitor.observed_bytes", point=point).add(monitor.total)
 
     # ----------------------------------------------------------- extraction
 
@@ -191,7 +309,7 @@ class _UeSession:
             true_received = min(gateway, true_sent)
             edge_sent = self.device.ul_monitor.reported_usage(t1, t2)
             edge_received_est = self.server.ul_monitor.reported_usage(t1, t2)
-            operator_received = gateway
+            operator_received = gateway  # the gateway *is* the receiver record
             operator_sent_est = self.counter_monitor.reported_uplink_usage(t1, t2)
         else:
             true_sent = self.server.dl_monitor.true_usage(t1, t2)
@@ -227,13 +345,16 @@ class _UeSession:
             edge_skew = skew_rng.gauss(0.0, config.edge_skew_rel_std * config.cycle_duration_s)
             op_skew = skew_rng.gauss(0.0, config.operator_skew_rel_std * config.cycle_duration_s)
             if self.fault_injector is not None:
+                # Injected clock faults stack on top of the baseline NTP
+                # error: offsets while active, drift accumulated to the
+                # (true-time) cycle boundary.
                 edge_skew += self.fault_injector.extra_skew("edge-clock", t2)
                 op_skew += self.fault_injector.extra_skew("operator-clock", t2)
             usages.append(self._cycle_usage(t1, t2, edge_skew, op_skew))
         return usages
 
     def evaluate(self, usages: list[CycleUsage]) -> dict[str, list[SchemeOutcome]]:
-        """Charging schemes on this UE's cycles (per-UE negotiation stream)."""
+        """Charging schemes on this UE's cycles (the session's negotiation stream)."""
         return evaluate_schemes(
             self.plan,
             usages,
@@ -287,8 +408,6 @@ class FleetShardRunner:
         # "auto" batches every eligible session and runs the rest on the
         # reference engine within the same shard.
         self.kernel = resolve_kernel(kernel)
-        self.kernel_used: dict[int, str] = {}
-        self.kernel_fallback_reasons: dict[int, str] = {}
         self.loop = EventLoop()
         self.metrics = MetricsRegistry(clock=self.loop.now)
         # Shard-level randomness (radio processes keyed by IMSI, per-cell
@@ -316,19 +435,32 @@ class FleetShardRunner:
                 self.loop,
                 self.network,
                 self.metrics,
+                # Per-UE randomness: a registry seeded only by the UE's
+                # fleet-wide seed, so its draws are shard-composition
+                # independent.
+                StreamRegistry(ue.seed),
+                ue.config,
                 ue_index=ue.index,
+                imsi=make_test_imsi(ue.index + 1),
                 archetype=ue.archetype,
-                config=ue.config,
-                seed=ue.seed,
                 cell=cell,
             )
             for cell, ue in enumerate(shard.ues)
         ]
-        for cell, session in enumerate(self.sessions):
-            mbps = session.config.background_mbps
-            if mbps > 0:
-                rate = mbps * 1e6
-                self.network.set_background_load(rate, rate, cell=cell)
+
+    @property
+    def kernel_used(self) -> dict[int, str]:
+        """The engine each UE ran on, by UE index."""
+        return {s.ue_index: s.kernel_used for s in self.sessions}
+
+    @property
+    def kernel_fallback_reasons(self) -> dict[int, str]:
+        """Why each auto-mode fallback UE left the kernel, by UE index."""
+        return {
+            s.ue_index: s.kernel_fallback_reason
+            for s in self.sessions
+            if s.kernel_fallback_reason is not None
+        }
 
     # -------------------------------------------------------------- running
 
@@ -336,36 +468,15 @@ class FleetShardRunner:
         """Run every UE's workload through the shared charging horizon."""
         horizon = self.n_cycles * self.cycle_duration_s
         with self.metrics.span("simulate"):
-            lanes = []
-            for session in self.sessions:
-                lane = reason = None
-                if self.kernel != "reference":
-                    lane, reason = build_session_lane(session)
-                    if lane is None and self.kernel == "batched":
-                        raise RuntimeError(
-                            f"batched kernel unavailable for UE {session.ue_index}: {reason}"
-                        )
-                if lane is not None:
-                    self.kernel_used[session.ue_index] = "batched"
-                    lanes.append(lane)
-                else:
-                    self.kernel_used[session.ue_index] = "reference"
-                    if reason is not None:
-                        # Auto-mode fallbacks aggregate into the shard
-                        # snapshot so fleet coverage regressions surface;
-                        # an explicit kernel="reference" records nothing.
-                        self.kernel_fallback_reasons[session.ue_index] = reason
-                        self.metrics.counter("kernel.fallback", reason=reason).inc()
-                    session.workload.start(until=horizon)
+            lanes = [session.start(self.kernel, horizon) for session in self.sessions]
             # Lanes never touch the shared loop; any order works.  The
             # reference sessions' events then settle on the real loop.
             for lane in lanes:
-                run_lane(lane, horizon, settle=SETTLE_S)
+                if lane is not None:
+                    run_lane(lane, horizon, settle=SETTLE_S)
             self.loop.run_until(horizon + SETTLE_S)  # settle in-flight traffic
             for session in self.sessions:
-                self.network.serving_enodeb(str(session.imsi)).ue(
-                    str(session.imsi)
-                ).rrc.perform_counter_check()
+                session.final_counter_check()
 
     def collect_metrics(self) -> None:
         """Shard-level totals: passive counters summed across cells and UEs.
@@ -373,36 +484,11 @@ class FleetShardRunner:
         Sums keep metric cardinality constant (no per-UE labels), so the
         merged fleet snapshot stays O(metric names), not O(population).
         """
-        m = self.metrics
-        for enodeb in self.network.enodebs:
-            for direction, air in (("dl", enodeb.downlink_air), ("ul", enodeb.uplink_air)):
-                m.gauge("cellular.air.offered_bytes", direction=direction).add(
-                    air.offered.bytes
-                )
-                m.gauge("cellular.air.dropped_bytes", direction=direction).add(
-                    air.dropped.bytes
-                )
-                m.gauge("cellular.air.transmitted_bytes", direction=direction).add(
-                    air.transmitted.bytes
-                )
+        collect_air_metrics(self.metrics, self.network)
         for session in self.sessions:
-            radio = session.access.radio
-            m.gauge("cellular.radio.outages").add(radio.outage_count)
-            m.gauge("cellular.radio.outage_time_s").add(radio.total_outage_time)
-            modem = session.access.modem
-            m.gauge("edge.modem.uplink_bytes").add(modem.ul_sent.total)
-            m.gauge("edge.modem.downlink_bytes").add(modem.dl_received.total)
-            m.gauge("edge.modem.counter_checks").add(modem.counter_checks_served)
-            monitors = (
-                ("device-ul", session.device.ul_monitor),
-                ("device-dl", session.device.dl_monitor),
-                ("server-ul", session.server.ul_monitor),
-                ("server-dl", session.server.dl_monitor),
-            )
-            for point, monitor in monitors:
-                m.gauge("edge.monitor.observed_bytes", point=point).add(monitor.total)
-        m.gauge("cellular.ofcs.bearers").set(len(self.network.bearers))
-        m.gauge("fleet.shard.ues").set(len(self.sessions))
+            session.collect_metrics()
+        self.metrics.gauge("cellular.ofcs.bearers").set(len(self.network.bearers))
+        self.metrics.gauge("fleet.shard.ues").set(len(self.sessions))
 
     def run(self) -> FleetShardResult:
         """Simulate, extract, evaluate and summarize every UE of the shard."""

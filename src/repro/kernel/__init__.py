@@ -10,7 +10,6 @@ fallback to the reference engine for unsupported traffic shapes.
 
 from .adapter import (
     KERNELS,
-    build_scenario_lane,
     build_session_lane,
     resolve_kernel,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "KERNELS",
     "LaneSpec",
     "SETTLE_S",
-    "build_scenario_lane",
     "build_session_lane",
     "resolve_kernel",
     "run_lane",

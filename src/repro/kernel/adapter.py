@@ -2,11 +2,12 @@
 
 The batched kernel (:mod:`repro.kernel.engine`) reproduces the reference
 engine bit for bit *only* for the traffic shapes it mirrors.  This module
-is the gatekeeper: :func:`build_scenario_lane` / :func:`build_session_lane`
-inspect a fully-built runner and either return a ready
+is the gatekeeper: :func:`build_session_lane` inspects one fully-built
+per-UE session (:class:`~repro.experiments.fleet_runner._UeSession`, the
+stack both runners use) and either returns a ready
 :class:`~repro.kernel.engine.LaneSpec` or a human-readable reason why the
 UE must run on the reference engine.  ``kernel="auto"`` falls back
-silently (the runner records the reason); ``kernel="batched"`` raises so
+silently (the session records the reason); ``kernel="batched"`` raises so
 tests and benchmarks can assert the fast path was actually taken.
 
 Selection is resolved per call from an explicit argument or the
@@ -28,7 +29,6 @@ from .engine import _K_HO_BEGIN, _K_OUT_BEGIN, _K_RESET, _K_RSS, LaneSpec
 __all__ = [
     "KERNELS",
     "resolve_kernel",
-    "build_scenario_lane",
     "build_session_lane",
 ]
 
@@ -88,22 +88,20 @@ def _absorb_events(loop, radio, handover, injector=None) -> tuple[tuple | None, 
     return tuple(absorbed), None
 
 
-def _build_lane(
-    *,
-    config,
-    loop,
-    network,
-    access,
-    device,
-    server,
-    workload,
-    counter_monitor,
-    flow_id,
-    fault_injector,
-    handover=None,
-    span_recorder=None,
-) -> tuple[LaneSpec | None, str | None]:
-    """Shared eligibility walk; returns (lane, None) or (None, reason)."""
+def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
+    """Lane for one :class:`~repro.experiments.fleet_runner._UeSession`.
+
+    Returns (lane, None) or (None, reason).  Eligibility is per-session:
+    each UE owns its cell, so its air interfaces, RRC, modem, bearer and
+    monitors are lane-private; the shared SPGW/link/middlebox totals the
+    lane flushes are plain sums, insensitive to which engine produced
+    each term.  A fleet shard's loop may legitimately hold pending events
+    for *ineligible* sessions (their radio outage processes); only a
+    standalone session, alone on its loop, gets the global pending check.
+    """
+    config, loop, network = session.config, session.loop, session.network
+    access, device, server = session.access, session.device, session.server
+    flow_id, handover = session.flow_id, session.handover
     if config.workload.fps > MAX_BATCHED_FPS:
         return None, f"workload fps {config.workload.fps} above the kernel bound ({MAX_BATCHED_FPS})"
     if device.on_receive is not None or server.on_receive is not None:
@@ -145,7 +143,7 @@ def _build_lane(
 
     # Fresh-state contract: the kernel bulk-installs counter series, so
     # every flush target must be untouched.
-    if workload.frames_sent != 0:
+    if session.workload.frames_sent != 0:
         return None, "workload already started"
     modem = access.modem
     if modem.ul_sent.total != 0 or modem.dl_received.total != 0:
@@ -158,7 +156,7 @@ def _build_lane(
         if monitor.counter._times:
             return None, f"monitor {monitor.name!r} not fresh"
 
-    absorbed, reason = _absorb_events(loop, radio, handover, fault_injector)
+    absorbed, reason = _absorb_events(loop, radio, handover, session.fault_injector)
     if reason is not None:
         return None, reason
 
@@ -168,8 +166,8 @@ def _build_lane(
     # loops — the reference draws no fault RNG for them either.  Armed
     # counter resets ride in via ``absorbed``.
     fault_view = None
-    if fault_injector is not None:
-        fault_view = fault_injector.lane_view(("uplink", "downlink"))
+    if session.fault_injector is not None:
+        fault_view = session.fault_injector.lane_view(("uplink", "downlink"))
 
     # Outage, RSS, quota, handover and path-fault sessions run the
     # general-mode executor; everything else takes the faster fold loops.
@@ -190,7 +188,7 @@ def _build_lane(
     lane = LaneSpec(
         is_uplink=is_uplink,
         t0=loop.now(),
-        workload=workload,
+        workload=session.workload,
         radio=radio,
         air=air,
         air_qci=air_qci,
@@ -215,59 +213,15 @@ def _build_lane(
         handover=handover,
         rlf_timeout_s=enodeb.config.rlf_timeout_s,
         attach_delay_s=enodeb.config.attach_delay_s,
-        span_recorder=span_recorder,
+        span_recorder=session.metrics._spans if session.standalone else None,
         absorbed=absorbed,
         fault_view=fault_view,
         report_monitor=sink.__self__ if bulk_sink else None,
     )
-    return lane, None
-
-
-def build_scenario_lane(runner) -> tuple[LaneSpec | None, str | None]:
-    """Lane for a single-UE :class:`~repro.experiments.runner.ScenarioRunner`."""
-    lane, reason = _build_lane(
-        config=runner.config,
-        loop=runner.loop,
-        network=runner.network,
-        access=runner.access,
-        device=runner.device,
-        server=runner.server,
-        workload=runner.workload,
-        counter_monitor=runner.counter_monitor,
-        flow_id=runner.flow_id,
-        fault_injector=runner.fault_injector,
-        handover=runner.handover,
-        span_recorder=runner.metrics._spans,
-    )
-    if lane is not None and runner.loop.pending() != len(lane.absorbed):
+    if session.standalone and loop.pending() != len(absorbed):
         # Catch-all, checked last so specific reasons surface first: a
         # single-UE scenario loop must hold nothing beyond the absorbed
         # construction-time events or the lane would race whatever else
         # is scheduled on it.
         return None, "event loop already has pending events"
-    return lane, reason
-
-
-def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
-    """Lane for one :class:`~repro.experiments.fleet_runner._UeSession`.
-
-    Fleet eligibility is per-session: each UE owns its cell, so its air
-    interfaces, RRC, modem, bearer and monitors are lane-private; the
-    shared SPGW/link/middlebox totals the lane flushes are plain sums,
-    insensitive to which engine produced each term.  The shard loop may
-    legitimately hold pending events for *ineligible* sessions (their
-    radio outage processes), so there is no global pending check here.
-    """
-    return _build_lane(
-        config=session.config,
-        loop=session.loop,
-        network=session.network,
-        access=session.access,
-        device=session.device,
-        server=session.server,
-        workload=session.workload,
-        counter_monitor=session.counter_monitor,
-        flow_id=session.flow_id,
-        fault_injector=session.fault_injector,
-        handover=session.handover,
-    )
+    return lane, None

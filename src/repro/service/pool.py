@@ -18,13 +18,36 @@ a parked worker.
 
 The executor is created lazily on first submit, so a service configured
 with a pool but fed no shard claims never forks a process.
+
+A dead worker costs a retry, not the run: when the executor breaks
+(``BrokenProcessPool``, seen by :meth:`SimProcessPool.submit` or on a
+finished handle) the pool builds a fresh executor and resubmits every
+in-flight call in submission order.  Each call is retried once; a second
+break becomes its bridge's exception, so a call that always kills its
+worker cannot loop.  Retrying is safe because every call the service
+submits — a shard simulation — is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 from .sim_async import SimFuture
+
+
+@dataclass
+class _Call:
+    bridge: SimFuture
+    fn: Callable
+    args: tuple
+    retried: bool = False
+
+
+def _broken(handle: Future) -> bool:
+    return handle.done() and isinstance(handle.exception(), BrokenProcessPool)
 
 
 class SimProcessPool:
@@ -35,33 +58,50 @@ class SimProcessPool:
             raise ValueError(f"need at least one pool worker, got {workers}")
         self.workers = workers
         self._executor: ProcessPoolExecutor | None = None
-        self._bridges: dict[Future, SimFuture] = {}
-        self._order: list[Future] = []
+        #: In-flight calls by handle, in submission order.
+        self._calls: dict[Future, _Call] = {}
 
     def submit(self, fn, *args) -> SimFuture:
         """Dispatch ``fn(*args)`` to the pool; returns the awaitable bridge."""
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        bridge = SimFuture()
-        handle = self._executor.submit(fn, *args)
-        self._bridges[handle] = bridge
-        self._order.append(handle)
-        return bridge
+        call = _Call(SimFuture(), fn, args)
+        try:
+            handle = self._executor.submit(fn, *args)
+        except BrokenProcessPool:
+            self._restart()
+            handle = self._executor.submit(fn, *args)
+        self._calls[handle] = call
+        return call.bridge
+
+    def _restart(self) -> None:
+        """Replace the broken executor and resubmit, in submission order,
+        every call it had not finished; a call already retried keeps its
+        broken handle, which resolves its bridge with the exception."""
+        self._executor.shutdown(wait=True)
+        self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        calls, self._calls = self._calls, {}
+        for handle, call in calls.items():
+            if call.retried or (handle.done() and not _broken(handle)):
+                self._calls[handle] = call
+            else:
+                call.retried = True
+                self._calls[self._executor.submit(call.fn, *call.args)] = call
 
     def pending(self) -> int:
         """Submissions whose bridge has not resolved yet."""
-        return len(self._bridges)
+        return len(self._calls)
 
     def wait_next(self) -> None:
         """Block until at least one in-flight call finishes, then resolve
         every finished bridge in submission order (waking its awaiter)."""
-        if not self._bridges:
+        if not self._calls:
             return
-        wait(list(self._bridges), return_when=FIRST_COMPLETED)
-        ready = [h for h in self._order if h in self._bridges and h.done()]
-        for handle in ready:
-            bridge = self._bridges.pop(handle)
-            self._order.remove(handle)
+        wait(list(self._calls), return_when=FIRST_COMPLETED)
+        if any(_broken(h) and not c.retried for h, c in self._calls.items()):
+            self._restart()
+        for handle in [h for h in self._calls if h.done()]:
+            bridge = self._calls.pop(handle).bridge
             error = handle.exception()
             if error is not None:
                 bridge.set_exception(error)

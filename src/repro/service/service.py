@@ -165,18 +165,20 @@ class SettlementLedger:
       ``unclaimed``) that :meth:`ReconciliationService.resume` replays
       to rebuild in-flight state after a crash.
 
-    Every line is compact, key-sorted JSON, flushed to the OS as it is
-    written and fsync'd on :meth:`close` — a killed process loses at
-    most the final torn line, which :meth:`resume` trims.  ``write()``
-    or ``journal()`` after ``close()`` raises: the memory view and the
-    file are never allowed to diverge silently.
+    Every line is compact, key-sorted JSON, handed to the OS before
+    memory records it and fsync'd on :meth:`close` — a killed process
+    loses at most the final torn line, which :meth:`resume` trims.  A
+    failed write (disk full, I/O error) seals the ledger and re-raises.
+    ``write()`` or ``journal()`` after ``close()`` or a failed write
+    raises: the memory view and the file are never allowed to diverge
+    silently.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.lines: list[str] = []
         self.journal_lines: list[str] = []
         self.path = Path(path) if path is not None else None
-        self._fh = self.path.open("w") if self.path is not None else None
+        self._fh = self.path.open("wb", buffering=0) if self.path is not None else None
         self._seq = 0
         self._jseq = 0
         #: Settlement lines already durable from a previous incarnation;
@@ -230,7 +232,7 @@ class SettlementLedger:
                 fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        ledger._fh = path.open("a")
+        ledger._fh = path.open("ab", buffering=0)
         return ledger
 
     def journal_records(self) -> list[dict]:
@@ -238,9 +240,24 @@ class SettlementLedger:
         return [json.loads(line) for line in self.journal_lines]
 
     def _append(self, line: str) -> None:
-        if self._fh is not None:
-            self._fh.write(line + "\n")
-            self._fh.flush()
+        """Put one line in the file before memory records it.
+
+        The file is unbuffered, so no part of a failed line lingers to
+        be flushed later: the file then ends in at most a torn prefix,
+        which :meth:`resume` trims.  A failed write seals the ledger and
+        re-raises, so memory never runs ahead of the disk.
+        """
+        if self._fh is None:
+            return
+        data = memoryview((line + "\n").encode())
+        try:
+            while data:
+                data = data[self._fh.write(data):]
+        except OSError:
+            self._closed = True
+            self._fh.close()
+            self._fh = None
+            raise
 
     def write(self, record: dict) -> None:
         """Append one settlement record as a canonical JSON line."""
@@ -258,9 +275,9 @@ class SettlementLedger:
                 )
             self._seq += 1
             return
+        self._append(line)
         self._seq += 1
         self.lines.append(line)
-        self._append(line)
 
     def journal(self, record: dict) -> None:
         """Append one write-ahead journal record."""
@@ -269,9 +286,9 @@ class SettlementLedger:
         line = json.dumps(
             {"jseq": self._jseq, **record}, sort_keys=True, separators=(",", ":")
         )
+        self._append(line)
         self._jseq += 1
         self.journal_lines.append(line)
-        self._append(line)
 
     def text(self) -> str:
         """The settlement view as newline-terminated text."""
@@ -283,7 +300,6 @@ class SettlementLedger:
             return
         self._closed = True
         if self._fh is not None:
-            self._fh.flush()
             os.fsync(self._fh.fileno())
             self._fh.close()
             self._fh = None

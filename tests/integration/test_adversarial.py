@@ -26,14 +26,14 @@ from repro.experiments.scenarios import VRIDGE_DL, WEBCAM_UDP_UL
 def uplink_cycle():
     runner = ScenarioRunner(WEBCAM_UDP_UL.with_(n_cycles=1, seed=51))
     runner.simulate()
-    return runner.collect()[0], runner
+    return runner.session.collect()[0], runner
 
 
 @pytest.fixture(scope="module")
 def downlink_cycle():
     runner = ScenarioRunner(VRIDGE_DL.with_(n_cycles=1, seed=52))
     runner.simulate()
-    return runner.collect()[0], runner
+    return runner.session.collect()[0], runner
 
 
 def negotiate(plan, edge_record, edge_est, op_record, op_est, tol=0.05):
@@ -62,7 +62,7 @@ class TestSelfishEdgeTampering:
 
     def test_bill_cycle_reset_bounded_the_same_way(self, uplink_cycle):
         usage, runner = uplink_cycle
-        device_monitor = runner.device.ul_monitor
+        device_monitor = runner.session.device.ul_monitor
         reset = BillCycleResetTamper(device_monitor, reset_at=usage.cycle.duration * 0.8)
         tampered_sent = reset.reported_usage(usage.cycle.t_start, usage.cycle.t_end)
         assert tampered_sent < usage.edge_sent_record * 0.5  # attack is large
@@ -77,7 +77,7 @@ class TestSelfishEdgeTampering:
         user-space tamper cannot reach: the operator's knowledge is intact
         regardless of what the edge does to its own monitors."""
         usage, runner = downlink_cycle
-        device_monitor = runner.device.dl_monitor
+        device_monitor = runner.session.device.dl_monitor
         ScalingTamper(device_monitor, 0.1)  # edge tampers its own view
         assert usage.operator_received_record == pytest.approx(
             usage.true_received, rel=0.2

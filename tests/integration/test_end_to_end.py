@@ -31,7 +31,7 @@ class TestFullLifecycle:
         """Run a scenario cycle and take its records through the PoC."""
         runner = ScenarioRunner(config.with_(n_cycles=1, seed=seed))
         runner.simulate()
-        usage = runner.collect()[0]
+        usage = runner.session.collect()[0]
         edge_key, operator_key = keys
         plan = DataPlan(c=config.c, cycle_duration_s=config.cycle_duration_s)
         driver = NegotiationDriver(

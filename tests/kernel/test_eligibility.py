@@ -15,7 +15,7 @@ from dataclasses import replace
 from repro.cellular.air import RateWindow
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.scenarios import VRIDGE_DL, WEBCAM_UDP_UL
-from repro.kernel.adapter import build_scenario_lane
+from repro.kernel.adapter import build_session_lane
 from repro.netsim.faults import FaultSchedule, FaultSpec
 from repro.netsim.packet import Direction, Packet
 
@@ -27,7 +27,7 @@ def make_runner(**overrides):
 
 
 def reason_for(runner):
-    lane, reason = build_scenario_lane(runner)
+    lane, reason = build_session_lane(runner.session)
     assert lane is None
     return reason
 
@@ -41,24 +41,24 @@ class TestRefusals:
 
     def test_on_receive_hook(self):
         runner = make_runner()
-        runner.device.on_receive = lambda packet: None
+        runner.session.device.on_receive = lambda packet: None
         assert reason_for(runner) == "application on_receive hook installed"
 
     def test_radio_disconnected(self):
         runner = make_runner()
-        runner.access.radio.connected = False
+        runner.session.access.radio.connected = False
         assert reason_for(runner) == "radio disconnected at simulate start"
 
     def test_uplink_buffer_not_empty(self):
         runner = make_runner()
-        runner.access._ul_buffer.push(
-            Packet(size=100, flow_id=runner.flow_id, direction=Direction.UPLINK)
+        runner.session.access._ul_buffer.push(
+            Packet(size=100, flow_id=runner.session.flow_id, direction=Direction.UPLINK)
         )
         assert reason_for(runner) == "uplink modem buffer is not empty"
 
     def test_rss_history_not_fresh(self):
         runner = make_runner(outage_eta=0.05)
-        radio = runner.access.radio
+        radio = runner.session.access.radio
         radio.rss_history.append(radio.rss_history[0])
         assert reason_for(runner) == "RSS history not fresh"
 
@@ -66,32 +66,32 @@ class TestRefusals:
         from repro.cellular.gateway import TokenBucket
 
         runner = make_runner()
-        runner.network.spgw._policers[runner.flow_id] = TokenBucket(
+        runner.network.spgw._policers[runner.session.flow_id] = TokenBucket(
             runner.loop, 64_000.0
         )
         assert reason_for(runner) == "token-bucket policer already installed"
 
     def test_ue_detached(self):
         runner = make_runner()
-        runner.network.enodeb.ue(str(runner.device.imsi)).attached = False
+        runner.network.enodeb.ue(str(runner.session.device.imsi)).attached = False
         assert reason_for(runner) == "UE detached at simulate start"
 
     def test_downlink_buffer_not_empty(self):
         runner = make_runner()
-        ue = runner.network.enodeb.ue(str(runner.device.imsi))
+        ue = runner.network.enodeb.ue(str(runner.session.device.imsi))
         ue.dl_buffer.push(
-            Packet(size=100, flow_id=runner.flow_id, direction=Direction.DOWNLINK)
+            Packet(size=100, flow_id=runner.session.flow_id, direction=Direction.DOWNLINK)
         )
         assert reason_for(runner) == "downlink buffer is not empty"
 
     def test_no_bearer(self):
         runner = make_runner()
-        runner.flow_id = "missing-flow"
+        runner.session.flow_id = "missing-flow"
         assert reason_for(runner) == "no bearer for this flow"
 
     def test_bearer_inactive(self):
         runner = make_runner()
-        runner.network.bearers.by_flow(runner.flow_id).active = False
+        runner.network.bearers.by_flow(runner.session.flow_id).active = False
         assert reason_for(runner) == "bearer inactive at simulate start"
 
     def test_air_foreground_busy(self):
@@ -103,27 +103,27 @@ class TestRefusals:
 
     def test_workload_already_started(self):
         runner = make_runner()
-        runner.workload.frames_sent = 1
+        runner.session.workload.frames_sent = 1
         assert reason_for(runner) == "workload already started"
 
     def test_modem_counters_not_fresh(self):
         runner = make_runner()
-        runner.access.modem.ul_sent.add(0.0, 10)
+        runner.session.access.modem.ul_sent.add(0.0, 10)
         assert reason_for(runner) == "modem counters not fresh"
 
     def test_bearer_counters_not_fresh(self):
         runner = make_runner()
-        runner.network.bearers.by_flow(runner.flow_id).uplink.add(0.0, 10)
+        runner.network.bearers.by_flow(runner.session.flow_id).uplink.add(0.0, 10)
         assert reason_for(runner) == "bearer counters not fresh"
 
     def test_rrc_not_idle(self):
         runner = make_runner()
-        runner.network.enodeb.ue(str(runner.device.imsi)).rrc.setups = 1
+        runner.network.enodeb.ue(str(runner.session.device.imsi)).rrc.setups = 1
         assert reason_for(runner) == "RRC not idle at simulate start"
 
     def test_monitor_not_fresh(self):
         runner = make_runner()
-        counter = runner.device.ul_monitor.counter
+        counter = runner.session.device.ul_monitor.counter
         counter._times.append(0.0)
         counter._cums.append(10)
         assert "not fresh" in reason_for(runner)
@@ -131,12 +131,12 @@ class TestRefusals:
 
     def test_unrecognized_radio_event(self):
         runner = make_runner(outage_eta=0.05)
-        runner.loop.schedule_at(1.0, runner.access.radio._end_outage)
+        runner.loop.schedule_at(1.0, runner.session.access.radio._end_outage)
         assert reason_for(runner) == "unrecognized radio event pending on the loop"
 
     def test_unrecognized_handover_event(self):
         runner = make_runner(handover_interval_s=5.0)
-        runner.loop.schedule_at(1.0, runner.handover._complete_handover)
+        runner.loop.schedule_at(1.0, runner.session.handover._complete_handover)
         assert (
             reason_for(runner) == "unrecognized handover event pending on the loop"
         )
@@ -150,12 +150,12 @@ class TestRefusals:
         runner = make_runner(
             faults=FaultSchedule(specs=(FaultSpec("burst-loss", magnitude=0.1),))
         )
-        runner.loop.schedule_at(1.0, runner.fault_injector._reset_modem,
-                                runner.access.modem, "modem")
+        runner.loop.schedule_at(1.0, runner.session.fault_injector._reset_modem,
+                                runner.session.access.modem, "modem")
         # A _reset_modem scheduled by anything but attach_modem (no
         # COUNTER_RESET spec backs it) still absorbs fine; a genuinely
         # foreign injector method does not.
-        runner.loop.schedule_at(2.0, runner.fault_injector._record,
+        runner.loop.schedule_at(2.0, runner.session.fault_injector._record,
                                 2.0, "crash", "modem", "boom")
         assert (
             reason_for(runner)
@@ -167,13 +167,13 @@ class TestChaosEligibility:
     """The chaos lanes batched in PRs 6 and 9 must build general-mode lanes."""
 
     def assert_general(self, runner, n_absorbed):
-        lane, reason = build_scenario_lane(runner)
+        lane, reason = build_session_lane(runner.session)
         assert reason is None
         assert lane.general is True
         assert len(lane.absorbed) == n_absorbed
 
     def test_plain_session_takes_fold_lane(self):
-        lane, reason = build_scenario_lane(make_runner())
+        lane, reason = build_session_lane(make_runner().session)
         assert reason is None
         assert lane.general is False
         assert lane.absorbed == ()
@@ -228,7 +228,7 @@ class TestChaosEligibility:
                 )
             )
         )
-        lane, reason = build_scenario_lane(runner)
+        lane, reason = build_session_lane(runner.session)
         assert reason is None
         assert lane.general is False
 
@@ -240,6 +240,6 @@ class TestChaosEligibility:
                 specs=(FaultSpec("burst-loss", target="no-such-point", magnitude=0.5),)
             )
         )
-        lane, reason = build_scenario_lane(runner)
+        lane, reason = build_session_lane(runner.session)
         assert reason is None
         assert lane.general is False

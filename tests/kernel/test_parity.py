@@ -156,7 +156,7 @@ def flow(stats):
 
 
 def monitor_state(runner):
-    monitor = runner.counter_monitor
+    monitor = runner.session.counter_monitor
     return (
         monitor.reports_received,
         monitor.resets_observed,
@@ -166,7 +166,7 @@ def monitor_state(runner):
 
 
 def bearer_stamps(runner):
-    bearer = runner.network.bearers.by_flow(runner.flow_id)
+    bearer = runner.network.bearers.by_flow(runner.session.flow_id)
     return (bearer.first_usage, bearer.last_usage)
 
 
@@ -203,8 +203,8 @@ def test_two_background_classes_bit_exact(config):
 def assert_bit_exact(ref, bat):
     ref_result = ref.run()
     bat_result = bat.run()
-    assert bat.kernel_used == "batched"
-    assert ref.kernel_used == "reference"
+    assert bat.session.kernel_used == "batched"
+    assert ref.session.kernel_used == "reference"
 
     # Everything the charging study reads.
     assert ref_result.usages == bat_result.usages
@@ -223,16 +223,16 @@ def assert_bit_exact(ref, bat):
     # Raw point series: any timestamp or cumulative drift shows up here
     # even when cycle-boundary queries happen to agree.
     for get in (
-        lambda r: r.device.ul_monitor.counter,
-        lambda r: r.device.dl_monitor.counter,
-        lambda r: r.server.ul_monitor.counter,
-        lambda r: r.server.dl_monitor.counter,
-        lambda r: r.access.modem.ul_sent,
-        lambda r: r.access.modem.dl_received,
-        lambda r: r.counter_monitor._dl_reports,
-        lambda r: r.counter_monitor._ul_reports,
-        lambda r: r.network.bearers.by_flow(r.flow_id).uplink,
-        lambda r: r.network.bearers.by_flow(r.flow_id).downlink,
+        lambda r: r.session.device.ul_monitor.counter,
+        lambda r: r.session.device.dl_monitor.counter,
+        lambda r: r.session.server.ul_monitor.counter,
+        lambda r: r.session.server.dl_monitor.counter,
+        lambda r: r.session.access.modem.ul_sent,
+        lambda r: r.session.access.modem.dl_received,
+        lambda r: r.session.counter_monitor._dl_reports,
+        lambda r: r.session.counter_monitor._ul_reports,
+        lambda r: r.network.bearers.by_flow(r.session.flow_id).uplink,
+        lambda r: r.network.bearers.by_flow(r.session.flow_id).downlink,
     ):
         assert counter_points(get(ref)) == counter_points(get(bat))
 
@@ -242,13 +242,13 @@ def assert_bit_exact(ref, bat):
     assert bearer_stamps(ref) == bearer_stamps(bat)
 
     # RNG-coupled internals: one extra or missing draw diverges these.
-    assert ref.access.radio._current_rss == bat.access.radio._current_rss
-    assert ref.access.radio.rss_history == bat.access.radio.rss_history
-    assert ref.access.radio.connected == bat.access.radio.connected
-    assert ref.server.stats.latencies == bat.server.stats.latencies
+    assert ref.session.access.radio._current_rss == bat.session.access.radio._current_rss
+    assert ref.session.access.radio.rss_history == bat.session.access.radio.rss_history
+    assert ref.session.access.radio.connected == bat.session.access.radio.connected
+    assert ref.session.server.stats.latencies == bat.session.server.stats.latencies
 
-    ref_ue = ref.network.enodeb.ue(str(ref.device.imsi))
-    bat_ue = bat.network.enodeb.ue(str(bat.device.imsi))
+    ref_ue = ref.network.enodeb.ue(str(ref.session.device.imsi))
+    bat_ue = bat.network.enodeb.ue(str(bat.session.device.imsi))
     assert ref_ue.rrc.state is bat_ue.rrc.state
     assert ref_ue.rrc.setups == bat_ue.rrc.setups
     assert ref_ue.rrc.releases == bat_ue.rrc.releases
@@ -287,10 +287,10 @@ def test_foreign_report_sink_gets_reference_responses(config):
     def captured(kernel):
         runner = ScenarioRunner(config, kernel=kernel)
         reports = []
-        runner.network.enodeb.ue(str(runner.device.imsi)).rrc.report_sink = reports.append
+        runner.network.enodeb.ue(str(runner.session.device.imsi)).rrc.report_sink = reports.append
         runner.simulate()
-        assert runner.kernel_used == kernel
-        assert runner.counter_monitor.reports_received == 0
+        assert runner.session.kernel_used == kernel
+        assert runner.session.counter_monitor.reports_received == 0
         return reports
 
     reference = captured("reference")
@@ -452,11 +452,11 @@ class TestSelection:
         config = too_fast(WEBCAM_UDP_UL.with_(**SHORT))
         runner = ScenarioRunner(config, kernel="auto")
         runner.simulate()
-        assert runner.kernel_used == "reference"
-        assert "kernel bound" in runner.kernel_fallback_reason
+        assert runner.session.kernel_used == "reference"
+        assert "kernel bound" in runner.session.kernel_fallback_reason
         # Satellite: the fallback reason is an observable counter too.
         counters = runner.metrics.snapshot().counters
-        key = f"kernel.fallback{{reason={runner.kernel_fallback_reason}}}"
+        key = f"kernel.fallback{{reason={runner.session.kernel_fallback_reason}}}"
         assert counters[key] == 1
 
     @pytest.mark.parametrize(
@@ -486,8 +486,8 @@ class TestSelection:
             WEBCAM_UDP_UL.with_(**chaos, **SHORT), kernel="auto"
         )
         runner.simulate()
-        assert runner.kernel_used == "batched"
-        assert runner.kernel_fallback_reason is None
+        assert runner.session.kernel_used == "batched"
+        assert runner.session.kernel_fallback_reason is None
         assert not any(
             k.startswith("kernel.fallback")
             for k in runner.metrics.snapshot().counters
@@ -497,10 +497,10 @@ class TestSelection:
         config = WEBCAM_UDP_UL.with_(faults=FAULT_PROFILES["chaos"], **SHORT)
         runner = ScenarioRunner(config, kernel="batched")
         runner.simulate()
-        assert runner.kernel_used == "batched"
+        assert runner.session.kernel_used == "batched"
 
     def test_env_var_reaches_simulation(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_KERNEL", "batched")
         runner = ScenarioRunner(WEBCAM_UDP_UL.with_(**SHORT))
         runner.simulate()
-        assert runner.kernel_used == "batched"
+        assert runner.session.kernel_used == "batched"

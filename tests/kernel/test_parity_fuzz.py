@@ -83,11 +83,11 @@ def deep_state(runner, result):
     buffered packets and RNG stream states catch divergence that happens
     to cancel out by the next cycle boundary.
     """
-    radio = runner.access.radio
-    ue = runner.network.enodeb.ue(str(runner.device.imsi))
-    bearer = runner.network.bearers.by_flow(runner.flow_id)
+    radio = runner.session.access.radio
+    ue = runner.network.enodeb.ue(str(runner.session.device.imsi))
+    bearer = runner.network.bearers.by_flow(runner.session.flow_id)
     enodeb = runner.network.enodeb
-    policer = runner.network.spgw._policers.get(runner.flow_id)
+    policer = runner.network.spgw._policers.get(runner.session.flow_id)
     return {
         "usages": result.usages,
         "outcomes": result.outcomes,
@@ -95,23 +95,23 @@ def deep_state(runner, result):
         "points": [
             counter_points(c)
             for c in (
-                runner.device.ul_monitor.counter,
-                runner.device.dl_monitor.counter,
-                runner.server.ul_monitor.counter,
-                runner.server.dl_monitor.counter,
-                runner.access.modem.ul_sent,
-                runner.access.modem.dl_received,
-                runner.counter_monitor._dl_reports,
-                runner.counter_monitor._ul_reports,
+                runner.session.device.ul_monitor.counter,
+                runner.session.device.dl_monitor.counter,
+                runner.session.server.ul_monitor.counter,
+                runner.session.server.dl_monitor.counter,
+                runner.session.access.modem.ul_sent,
+                runner.session.access.modem.dl_received,
+                runner.session.counter_monitor._dl_reports,
+                runner.session.counter_monitor._ul_reports,
                 bearer.uplink,
                 bearer.downlink,
             )
         ],
         "counter_monitor": (
-            runner.counter_monitor.reports_received,
-            runner.counter_monitor.resets_observed,
-            runner.counter_monitor._last_dl,
-            runner.counter_monitor._last_ul,
+            runner.session.counter_monitor.reports_received,
+            runner.session.counter_monitor.resets_observed,
+            runner.session.counter_monitor._last_dl,
+            runner.session.counter_monitor._last_ul,
         ),
         "bearer_usage": (bearer.first_usage, bearer.last_usage),
         "radio": (radio._current_rss, radio.connected, list(radio.rss_history)),
@@ -122,11 +122,11 @@ def deep_state(runner, result):
             ue.rrc.counter_checks_sent,
         ),
         "rlf_count": ue.rlf_count,
-        "queues": (queue_state(ue.dl_buffer), queue_state(runner.access._ul_buffer)),
+        "queues": (queue_state(ue.dl_buffer), queue_state(runner.session.access._ul_buffer)),
         "policer": policer
         and (policer.rate_bps, policer._tokens, policer._last),
-        "handover": runner.handover
-        and (runner.handover._saved_capacity, runner.handover._saved_drop_layer),
+        "handover": runner.session.handover
+        and (runner.session.handover._saved_capacity, runner.session.handover._saved_drop_layer),
         "air": [
             flow(getattr(air, pick))
             for air in (enodeb.uplink_air, enodeb.downlink_air)
@@ -136,7 +136,7 @@ def deep_state(runner, result):
             flow(runner.network.middlebox.passed),
             flow(runner.network.middlebox.dropped),
         ),
-        "latencies": runner.server.stats.latencies,
+        "latencies": runner.session.server.stats.latencies,
         "fault_trace": result.fault_trace,
         "rng": {
             name: stream.getstate()
@@ -239,7 +239,7 @@ def test_batched_reference_parity_fuzz(config):
     bat = ScenarioRunner(config, kernel="batched")
     ref_state = deep_state(ref, ref.run())
     bat_state = deep_state(bat, bat.run())
-    assert bat.kernel_used == "batched"
-    assert ref.kernel_used == "reference"
+    assert bat.session.kernel_used == "batched"
+    assert ref.session.kernel_used == "reference"
     for key in ref_state:
         assert ref_state[key] == bat_state[key], f"divergence in {key!r}"

@@ -7,6 +7,8 @@ whatever the pool size — including across a kill-and-resume.
 """
 
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -33,6 +35,19 @@ def _explode(message):
     raise ValueError(message)
 
 
+def _die_once(marker, value):
+    # Kills its worker process on the first call only (the marker file
+    # survives the process); the retry then returns normally.
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return value
+
+
+def _die(value):
+    os._exit(1)
+
+
 class TestSimProcessPool:
     def test_bridges_resolve_with_results(self):
         pool = SimProcessPool(2)
@@ -50,6 +65,27 @@ class TestSimProcessPool:
             pool.wait_next()
         assert isinstance(future.exception(), ValueError)
         assert "boom" in str(future.exception())
+        pool.shutdown()
+
+    def test_dead_worker_costs_a_retry(self, tmp_path):
+        pool = SimProcessPool(1)
+        future = pool.submit(_die_once, str(tmp_path / "died"), 7)
+        while pool.pending():
+            pool.wait_next()
+        assert future.result() == 7
+        # The pool is whole again: the next submit runs normally.
+        after = pool.submit(_square, 3)
+        while pool.pending():
+            pool.wait_next()
+        assert after.result() == 9
+        pool.shutdown()
+
+    def test_call_that_always_kills_its_worker_fails_after_one_retry(self):
+        pool = SimProcessPool(1)
+        future = pool.submit(_die, 1)
+        while pool.pending():
+            pool.wait_next()
+        assert isinstance(future.exception(), BrokenProcessPool)
         pool.shutdown()
 
     def test_executor_is_lazy_and_shutdown_idempotent(self):

@@ -9,7 +9,9 @@ temperatures.  ``hypothesis`` drives randomized kill points; fixed
 parametrized cuts pin the interesting structural offsets.
 """
 
+import errno
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -183,6 +185,53 @@ class TestLedgerResumeParsing:
         # fail loudly instead of silently forking history.
         with pytest.raises(ValueError, match="diverged"):
             resumed.write({"type": "shard", "index": 99})
+
+
+class _FullDiskFile:
+    """A ledger file handle whose ``fail_at``-th write puts half its data
+    on disk, then raises ENOSPC, as a write into a full filesystem does."""
+
+    def __init__(self, fh, fail_at: int) -> None:
+        self._fh = fh
+        self._fail_at = fail_at
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == self._fail_at:
+            self._fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestLedgerWriteFailure:
+    @pytest.mark.parametrize("record_class", ["write", "journal"])
+    def test_failed_write_leaves_memory_equal_to_file(self, tmp_path, record_class):
+        path = tmp_path / "ledger.jsonl"
+        ledger = SettlementLedger(path)
+        ledger._fh = _FullDiskFile(ledger._fh, fail_at=2)
+        append = getattr(ledger, record_class)
+        append({"type": "shard", "index": 0})
+        with pytest.raises(OSError):
+            append({"type": "shard", "index": 1})
+        # The disk holds the first line plus a torn half of the second;
+        # memory holds exactly the durable line, and the sequence
+        # counters did not advance past it.
+        durable = SettlementLedger.resume(path)
+        assert durable.lines == ledger.lines
+        assert durable.journal_lines == ledger.journal_lines
+        assert len(ledger.lines) + len(ledger.journal_lines) == 1
+        assert ledger._seq == len(ledger.lines)
+        assert ledger._jseq == len(ledger.journal_lines)
+        # The failure sealed the ledger: later writes refuse.
+        with pytest.raises(RuntimeError, match="closed"):
+            ledger.write({"type": "shard", "index": 2})
+        with pytest.raises(RuntimeError, match="closed"):
+            ledger.journal({"type": "accepted", "id": "x"})
+        durable.close()
 
 
 class TestJournalReplay:
