@@ -64,12 +64,26 @@ CODEC_VERSION = 5
 # ------------------------------------------------------------------ codec
 
 
+#: Dataclass field names in declaration order, the key order of
+#: ``dataclasses.asdict`` (key order is part of the cache-file bytes).
+_CONFIG_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
+_WORKLOAD_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(WorkloadProfile))
+
+
 def config_to_dict(config: ScenarioConfig) -> dict:
-    """JSON-safe dict for a :class:`ScenarioConfig` (enums → values)."""
-    encoded = dataclasses.asdict(config)
+    """JSON-safe dict for a :class:`ScenarioConfig` (enums → values).
+
+    A flat walk over the field names, not ``dataclasses.asdict``: every
+    field value is an immutable scalar, an enum, the frozen workload or
+    the frozen fault schedule, and the last three are re-encoded below,
+    so sharing the values needs no recursive deep copy.
+    """
+    encoded = {name: getattr(config, name) for name in _CONFIG_FIELD_NAMES}
+    profile = config.workload
+    workload = {name: getattr(profile, name) for name in _WORKLOAD_FIELD_NAMES}
+    workload["transport"] = profile.transport.value
+    encoded["workload"] = workload
     encoded["direction"] = config.direction.value
-    encoded["workload"] = dict(encoded["workload"])
-    encoded["workload"]["transport"] = config.workload.transport.value
     encoded["faults"] = None if config.faults is None else config.faults.to_dict()
     return encoded
 
@@ -78,8 +92,8 @@ def config_to_dict(config: ScenarioConfig) -> dict:
 #: binary reading a newer cache directory (a forward-version entry with
 #: extra config fields) must treat the entry as decodable-or-miss, never
 #: crash the sweep with a ``TypeError`` from ``ScenarioConfig(**...)``.
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ScenarioConfig))
-_WORKLOAD_FIELDS = frozenset(f.name for f in dataclasses.fields(WorkloadProfile))
+_CONFIG_FIELDS = frozenset(_CONFIG_FIELD_NAMES)
+_WORKLOAD_FIELDS = frozenset(_WORKLOAD_FIELD_NAMES)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:

@@ -122,8 +122,14 @@ class _ReplayDriver:
         self.id_salt = id_salt
         registry = StreamRegistry(fleet.seed).fork("service-replay")
         self.fault_rng = registry.stream("ingest-faults")
+        # The ingest point's specs, matched once (as LaneFaultView does
+        # for lanes): deliver() only filters them by window, in schedule
+        # order, so the "ingest-faults" draws match active_specs().
         faults = replay.ingest_faults
-        self.faults = None if (faults is None or faults.is_empty) else faults
+        self.ingest_specs = () if faults is None else tuple(
+            s for s in faults.specs
+            if s.kind in _INGEST_KINDS and s.matches(INGEST_POINT)
+        )
         # ref -> pristine claim payload (retries always restart from
         # this, so a corruption fault never sticks past one submission).
         self.payloads: dict[str, dict] = {}
@@ -160,9 +166,11 @@ class _ReplayDriver:
         claim = dict(self.payloads[ref])
         claim["id"] = self.fresh_id(ref)
         stats.submitted += 1
-        if self.faults is not None:
+        if self.ingest_specs:
             now = loop.now()
-            for spec in self.faults.active_specs(_INGEST_KINDS, INGEST_POINT, now):
+            for spec in self.ingest_specs:
+                if not spec.active(now):
+                    continue
                 if spec.kind in (BURST_LOSS, BLACKOUT):
                     p = spec.magnitude if spec.kind == BURST_LOSS else 1.0
                     if self.fault_rng.random() < p:

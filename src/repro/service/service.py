@@ -27,7 +27,9 @@ network service:
   refs, the accumulator fold, pending PoC receipts, and the queue of
   accepted-but-unsettled claims — so a service killed at any point and
   resumed produces the same settlement stream an uninterrupted run
-  writes, byte for byte.
+  writes, byte for byte.  A failed ledger write stops the service
+  with its ``OSError`` (see :meth:`ReconciliationService.drain`), and
+  resume continues it the same way.
 * **Pooled settlement** (``config.pool_workers > 0``): the CPU-bound
   shard simulation is offloaded to a process pool behind a
   :class:`~repro.service.pool.SimProcessPool` bridge; the index-ordered
@@ -168,10 +170,10 @@ class SettlementLedger:
     Every line is compact, key-sorted JSON, handed to the OS before
     memory records it and fsync'd on :meth:`close` — a killed process
     loses at most the final torn line, which :meth:`resume` trims.  A
-    failed write (disk full, I/O error) seals the ledger and re-raises.
-    ``write()`` or ``journal()`` after ``close()`` or a failed write
-    raises: the memory view and the file are never allowed to diverge
-    silently.
+    failed write (disk full, I/O error) seals the ledger, keeps the error
+    in :attr:`failure` and re-raises.  ``write()`` or ``journal()`` after
+    ``close()`` or a failed write raises: the memory view and the file are
+    never allowed to diverge silently.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -186,6 +188,8 @@ class SettlementLedger:
         #: instead of appending (resume replays the whole fold).
         self._replay_until = 0
         self._closed = False
+        #: The ``OSError`` of the write that sealed the ledger, if any.
+        self.failure: OSError | None = None
 
     @classmethod
     def resume(cls, path: str | Path) -> "SettlementLedger":
@@ -227,6 +231,7 @@ class SettlementLedger:
         ledger._jseq = len(ledger.journal_lines)
         ledger._replay_until = len(ledger.lines)
         ledger._closed = False
+        ledger.failure = None
         with path.open("w") as fh:
             for _, line in kept:
                 fh.write(line + "\n")
@@ -253,8 +258,9 @@ class SettlementLedger:
         try:
             while data:
                 data = data[self._fh.write(data):]
-        except OSError:
+        except OSError as error:
             self._closed = True
+            self.failure = error
             self._fh.close()
             self._fh = None
             raise
@@ -403,13 +409,16 @@ class ReconciliationService:
         With ``pool_workers == 0`` this is exactly ``loop.run()``; with
         a pool, workers parked on in-flight simulations resume as
         results arrive and the loop re-runs until nothing is pending on
-        either side.
+        either side.  If a ledger write failed meanwhile, its ``OSError``
+        is raised: the run stopped, and :meth:`resume` continues it.
         """
         while True:
             self.loop.run()
             if self.pool is None or not self.pool.pending():
-                return
+                break
             self.pool.wait_next()
+        if self.ledger.failure is not None:
+            raise self.ledger.failure
 
     def crashed_workers(self) -> list:
         """Worker tasks that died with an exception (should stay empty)."""
@@ -508,9 +517,16 @@ class ReconciliationService:
         be enqueued, and a full queue surfaces as ``backpressure`` (the
         token is forfeit — a retrying caller pays for the pressure it
         adds).
+
+        The service fail-stops on its first failed durable write: if the
+        ``accepted`` journal write fails, its ``OSError`` propagates, and
+        once the ledger has failed every claim is refused as
+        ``ledger-failed`` before any side effect.
         """
         if self._closed:
             return self._reject("closed")
+        if self.ledger.failure is not None:
+            return self._reject("ledger-failed")
         if not isinstance(claim, dict):
             return self._reject("malformed")
         claim_id = claim.get("id")
@@ -524,10 +540,11 @@ class ReconciliationService:
         if claim_id in self._accepted_ids:
             return self._reject("duplicate")
         try:
-            json.dumps(claim)
+            json.dumps(claim, sort_keys=True)
         except (TypeError, ValueError):
-            # The write-ahead journal is JSON lines; a claim that cannot
-            # ride it cannot be made crash-safe, so it is not admitted.
+            # The write-ahead journal is key-sorted JSON lines; a claim
+            # that cannot ride it (say, keys of mixed types) cannot be
+            # made crash-safe, so it is not admitted.
             return self._reject("malformed")
         if not self._bucket(vendor).try_acquire(self.loop.now()):
             return self._reject("rate-limited")
@@ -562,6 +579,11 @@ class ReconciliationService:
             try:
                 await self._settle(claim)
             except Exception as error:
+                if self.ledger.failure is not None:
+                    # Fail-stop: the ledger sealed itself on a failed
+                    # durable write, so no outcome can be journaled any
+                    # more.  Exit cleanly; drain() raises the OSError.
+                    return
                 # Degrade, never die: a poisoned claim costs one rejection.
                 self._reject("internal-error")
                 self.metrics.counter(

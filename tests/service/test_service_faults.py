@@ -29,6 +29,7 @@ from repro.service import (
     ReconciliationService,
     ReplayConfig,
     ServiceConfig,
+    SettlementLedger,
     make_poc_claim,
     replay_fleet,
 )
@@ -148,6 +149,30 @@ class TestMalformedClaims:
         service.loop.run()
         assert service.rejections.get("malformed-shard") == 1
         assert service.crashed_workers() == []
+
+    def test_claim_the_journal_cannot_encode_is_refused_first(self, tmp_path):
+        # Plain json.dumps accepts keys of mixed types; the key-sorted
+        # journal encoding does not.  The claim must bounce as malformed
+        # before it spends a token, enters the queue or burns its id.
+        path = tmp_path / "ledger.jsonl"
+        service = ReconciliationService(
+            loop=EventLoop(),
+            config=ServiceConfig(vendor_burst=1.0),
+            ledger=SettlementLedger(path),
+        )
+        service.start()
+        mixed = {"id": "c1", "vendor": "v0", "kind": "probe", 1: "one"}
+        assert service.submit(mixed).reason == "malformed"
+        assert service.submit({"id": "c1", "vendor": "v0", "kind": "probe"}).accepted
+        service.drain()
+        service.close()
+        service.ledger.close()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["type"], r["id"]) for r in records] == [
+            ("accepted", "c1"),
+            ("settled", "c1"),
+        ]
+        assert service.rejections == {"malformed": 1}
 
     def test_submit_after_close_rejected(self, service):
         service.loop.run()

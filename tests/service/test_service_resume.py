@@ -234,6 +234,72 @@ class TestLedgerWriteFailure:
         durable.close()
 
 
+def _write_index(raw: bytes, record_class: str, occurrence: int) -> int:
+    """1-based index of the ledger write that puts down the
+    ``occurrence``-th line of ``record_class`` (a journal type, or
+    ``"fold"`` for a settlement line) in an uninterrupted run's file."""
+    seen = 0
+    for index, line in enumerate(raw.decode().splitlines(), start=1):
+        record = json.loads(line)
+        kind = "fold" if "seq" in record else record["type"]
+        if kind == record_class:
+            seen += 1
+            if seen == occurrence:
+                return index
+    raise AssertionError(f"no {record_class} line #{occurrence}")
+
+
+class TestServiceFailStop:
+    """A failed durable write stops the service with its own error."""
+
+    @pytest.mark.parametrize(
+        "record_class, occurrence",
+        [
+            ("accepted", 1),  # submit's write-ahead record, first write
+            ("accepted", 5),  # ... with settlements already folded
+            ("settled", 2),  # a worker's outcome record
+            ("fold", 3),  # a settlement line from the worker's fold
+        ],
+    )
+    def test_enospc_fail_stops_and_resumes_byte_identical(
+        self, baseline, tmp_path, monkeypatch, record_class, occurrence
+    ):
+        from repro.service import loadgen
+
+        services = []
+
+        class Recorded(ReconciliationService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        monkeypatch.setattr(loadgen, "ReconciliationService", Recorded)
+        path = tmp_path / "ledger.jsonl"
+        ledger = SettlementLedger(path)
+        fail_at = _write_index(baseline["bytes"], record_class, occurrence)
+        ledger._fh = _FullDiskFile(ledger._fh, fail_at=fail_at)
+        with pytest.raises(OSError) as raised:
+            replay_fleet(FLEET, REPLAY, ledger=ledger)
+        assert raised.value.errno == errno.ENOSPC
+        (service,) = services
+        assert service.crashed_workers() == []
+        # Nothing more is admitted, and the refusal has no side effect.
+        queued, accepted = service.queue.qsize(), set(service._accepted_ids)
+        probe = {"id": "late", "vendor": "vendor-0", "kind": "probe"}
+        assert service.submit(probe).reason == "ledger-failed"
+        assert service.queue.qsize() == queued
+        assert service._accepted_ids == accepted
+        assert ledger.failure is raised.value
+        # Space is back: resuming the file finishes the uninterrupted run.
+        monkeypatch.undo()
+        result, stats, resumed = resume_fleet_replay(FLEET, path, replay=REPLAY)
+        assert stats.dropped == 0 and result is not None
+        assert resumed.crashed_workers() == []
+        assert resumed.ledger.text() == baseline["text"]
+        assert settlement_view(path) == baseline["text"]
+        assert json.dumps(result.to_dict(), sort_keys=True) == baseline["aggregate"]
+
+
 class TestJournalReplay:
     def _crash_copy(self, live_path: Path) -> Path:
         # Simulate process death: the crashed file is what's on disk,
