@@ -235,7 +235,6 @@ def _shareable(value) -> bool:
 def test_config_fields_are_immutable(configs):
     # The codec copies field values into the encoded dict without a deep
     # copy, so no field may hold a value that can change under it.
-    assert dataclasses.is_dataclass(ScenarioConfig)
     assert ScenarioConfig.__dataclass_params__.frozen
     assert WorkloadProfile.__dataclass_params__.frozen
     assert FaultSchedule.__dataclass_params__.frozen
