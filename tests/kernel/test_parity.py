@@ -33,6 +33,7 @@ from repro.experiments.scenarios import (
     WEBCAM_UDP_UL,
 )
 from repro.kernel import KERNELS, resolve_kernel
+from repro.netsim import Direction
 from repro.netsim.faults import FAULT_PROFILES, FaultSchedule, FaultSpec
 
 SHORT = dict(n_cycles=2, cycle_duration_s=10.0)
@@ -198,6 +199,75 @@ def test_two_background_classes_bit_exact(config):
             air.set_background(5, 50e6)  # a higher-priority class beside QCI 9
         runners.append(runner)
     assert_bit_exact(*runners)
+
+
+def report_write_ties(runner):
+    """COUNTER CHECK report instants equal to a write instant of the modem
+    counter the report reads (the lane's direction)."""
+    monitor = runner.session.counter_monitor
+    modem = runner.session.access.modem
+    if runner.config.direction is Direction.UPLINK:
+        reports, writes = monitor._ul_reports._times, modem.ul_sent._times
+    else:
+        reports, writes = monitor._dl_reports._times, modem.dl_received._times
+    written = set(writes)
+    return sum(1 for t in reports if t in written)
+
+
+def land_full_chunk_on_first_check(runner):
+    """Make a full downlink chunk's air delay equal the check interval.
+
+    Serialization is a power of two and the propagation delay the
+    interval minus it, so ``prop + 0.0 + chunk * 8.0 / capacity`` is the
+    interval exactly: an unqueued full chunk delivered from the arrival
+    that (re)connects lands on that connection's first periodic check.
+    """
+    interval = runner.network.enodeb.config.counter_check_interval_s
+    serialization = 2.0**-5
+    air = runner.network.enodeb.downlink_air
+    air.capacity_bps = runner.config.workload.packet_bytes * 8 / serialization
+    air.propagation_delay_s = interval - serialization
+    assert air.propagation_delay_s + 0.0 + serialization == interval
+
+
+@pytest.mark.parametrize(
+    "config, tune",
+    [
+        # 20 fps frames and the 50 ms check interval: a check armed by a
+        # frame lands on the frame after it, and every later check on
+        # the frame after that one's.
+        pytest.param(
+            WEBCAM_UDP_UL.with_(
+                workload=replace(WEBCAM_UDP_UL.workload, fps=20.0), **SHORT
+            ),
+            None,
+            id="ul-check-on-frame",
+        ),
+        # One frame per 20 s idles past the 10 s inactivity timeout, so
+        # every frame's arrival reconnects and arms a fresh check chain.
+        pytest.param(
+            VRIDGE_DL.with_(
+                workload=replace(VRIDGE_DL.workload, fps=0.05),
+                n_cycles=2,
+                cycle_duration_s=60.0,
+            ),
+            land_full_chunk_on_first_check,
+            id="dl-delivery-on-first-check",
+        ),
+    ],
+)
+def test_exact_time_ties_bit_exact(config, tune):
+    """A report instant equal to a counter write instant keeps the
+    reference's same-time order (which of the two fired first)."""
+    runners = []
+    for kernel in ("reference", "batched"):
+        runner = ScenarioRunner(config, kernel=kernel)
+        if tune is not None:
+            tune(runner)
+        runners.append(runner)
+    assert_bit_exact(*runners)
+    # The row proves nothing unless the reference run really ties.
+    assert report_write_ties(runners[0]) > 0
 
 
 def assert_bit_exact(ref, bat):
