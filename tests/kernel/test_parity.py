@@ -243,6 +243,16 @@ def land_full_chunk_on_first_check(runner):
             None,
             id="ul-check-on-frame",
         ),
+        # 10 fps: a connection's second check lands on the frame after
+        # the connecting one, whose pusher popped before the first check,
+        # so the frame's modem write comes first.
+        pytest.param(
+            WEBCAM_UDP_UL.with_(
+                workload=replace(WEBCAM_UDP_UL.workload, fps=10.0), **SHORT
+            ),
+            None,
+            id="ul-frame-before-check",
+        ),
         # One frame per 20 s idles past the 10 s inactivity timeout, so
         # every frame's arrival reconnects and arms a fresh check chain.
         pytest.param(
