@@ -81,8 +81,9 @@ def test_scenario_kernel_speedup(archive):
     iterations, min of ``ROUNDS`` — the only methodology that survives
     a noisy shared host; wall-clock on this class of machine jitters by
     2-4x and would make any threshold meaningless.  The speedup target
-    (10x) is a release gate for the batched kernel: measured headroom on
-    the reference host is ~11x uplink / ~13x downlink.
+    (15x) is a release gate for the batched kernel: on a 2-vCPU x86_64
+    VM the fold lane measured 31-43x pooled over five runs (27-29x
+    uplink, 32-48x downlink).
     """
     ROUNDS = 5
     rows = [f"{'scenario':>12} {'packets':>8} {'ref pkt/s':>10} {'batched pkt/s':>14} {'speedup':>8}"]
@@ -107,7 +108,7 @@ def test_scenario_kernel_speedup(archive):
     pooled = ref_cpu / batched_cpu
     rows.append(f"pooled speedup (sum ref cpu / sum batched cpu): {pooled:.1f}x")
     archive("kernel_speedup", "\n".join(rows))
-    assert pooled >= 10.0, f"batched kernel speedup regressed: {pooled:.2f}x < 10x"
+    assert pooled >= 15.0, f"batched kernel speedup regressed: {pooled:.2f}x < 15x"
 
 
 def test_fleet_chaos_kernel_speedup(archive):

@@ -170,7 +170,9 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
         fault_view = session.fault_injector.lane_view(("uplink", "downlink"))
 
     # Outage, RSS, quota, handover and path-fault sessions run the
-    # general-mode executor; everything else takes the faster fold loops.
+    # general-mode executor, and so do cells with two or more background
+    # classes (the fold lane's demand split is precomputed for at most
+    # one); everything else takes the faster fold lane.
     needs_general = (
         radio.profile.outages_enabled
         or radio.record_rss
@@ -178,6 +180,7 @@ def build_session_lane(session) -> tuple[LaneSpec | None, str | None]:
         or handover is not None
         or bool(absorbed)
         or (fault_view is not None and fault_view.any_path_faults)
+        or len(air._background) > 1
     )
 
     # The operator's record ingests the lane's COUNTER CHECK reports in

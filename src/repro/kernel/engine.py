@@ -5,82 +5,123 @@ of every frame becomes a :class:`~repro.netsim.packet.Packet` that hops
 through device → modem → air → backhaul → SPGW → server as a chain of
 event-loop callbacks, each allocating closures and touching a dozen
 objects.  At fleet scale that per-packet object hop dominates run time
-(ROADMAP open item 1) without changing any number the charging study
-reads.
+without changing any number the charging study reads.
 
 This module replaces that hop with a **lane**: one UE's whole simulate()
-phase run over flat per-UE state — plain ints, floats and lists — driven
-by a private event wheel (a heap of tuples) instead of the shared event
-loop.  The hot paths are two long, direction-specialized loops
-(:meth:`_LaneRun._run_ul` / :meth:`_LaneRun._run_dl`) with every
-per-packet value cached in locals; per-packet work shrinks to a few
-dozen interpreter operations while reproducing the reference engine
-**bit for bit**:
+phase run over flat per-UE state, reproducing the reference engine **bit
+for bit**:
 
-* every RNG draw is issued on the *same stream object* in the *same
-  order* (workload sizes/jitter, air drop draws, radio RSS walk + loss
-  draws);
+* every RNG draw is issued on the *same stream* in the *same order*
+  (workload sizes/jitter, air drop draws, radio RSS walk + loss draws);
 * every float expression is copied operation-for-operation from the
   reference code (air drop probability, queue delay, RSS walk, frame
-  sizing), never algebraically simplified — see the inline citations;
-  ``min``/``max`` calls are unrolled into branches, which return the
-  identical float;
+  sizing), never algebraically simplified; ``min``/``max`` calls are
+  unrolled into branches or selections, which return the identical float;
 * every counter write lands at the exact same simulated timestamp, so
   cycle-boundary queries (skewed or not) cannot tell the engines apart;
-* event-wheel sequence numbers mirror the event loop's global schedule
-  order, so same-time events fire in the same relative order (the
-  tie-ordering contract below).
+* same-time events take effect in the reference's relative order (the
+  tie rule below).
 
-Tie-ordering contract
----------------------
+Two executors
+-------------
 
-The reference loop breaks time ties by schedule order (a global seq).
-The wheel assigns its own per-lane seq at push time; pushes happen at
-the same simulated instants as the reference's ``schedule`` calls with
-two deliberate exceptions, both proven safe:
+Sessions whose path state cannot change mid-frame (no outages, no RSS
+recording, no quota, no handover, no path faults, at most one background
+class) run the **fold lane** (:class:`_LaneRun`).  Everything else runs
+the **general executor** (:class:`_GeneralRun`): a private event wheel (a
+heap of tuples) with the reference engine's per-hop granularity, because
+an outage window, an RLF detach, a policer refill or a handover break can
+land between any two chunks.  General mode trades the fold speedup for
+coverage, but its per-hop work is local code too: it skips the shared
+event loop's closure allocation and object hops, and it calls no
+workload, radio, air or counter method per hop.
 
-* the downlink LAN hop (+0.5 ms) and SPGW charge are *folded* into frame
+The fold lane's array phases
+----------------------------
+
+In a quiet session nothing on the air-submit side depends on a
+delivery: the workload stream is drawn only by frames, the air stream
+once per submitted chunk in activity order, the radio stream only by
+deliveries, and nothing a delivery does feeds back into a submit.  So the
+fold lane runs no wheel at all, only four phases over the lane's chunks:
+
+1. **frames** — a loop of ``te = te + frame_dt`` up to the horizon, then
+   the frame sizes; the per-frame counter writes, LAN/backhaul/middlebox
+   sums, SLA verdicts and the activity instants (uplink frame times,
+   downlink eNodeB arrivals by the settle edge);
+2. **air submits** — window sums, drop probability, queue delay and
+   delivery time of every chunk as arrays;
+3. **deliveries** — sorted by time, equal times in chunk (push) order,
+   then one sequential RSS walk deciding each survival;
+4. **counters and RRC** — survivor writes as cumulative series, RRC
+   connections from the activity instants, and every COUNTER CHECK and
+   release reading the modem counter through one ``searchsorted``.
+
+Arrays carry only IEEE-exact operations, each in the reference's own
+expression order: elementwise ``+ − × ÷``, comparisons and the
+selections built from them (``where``, ``minimum``, ``maximum``), int64
+``cumsum``, ``searchsorted``, stable ``argsort`` and truncation of a
+positive float to int.  Transcendental functions (``log``, ``exp``,
+``cos``, ``sin``, ``sqrt``) stay on :mod:`math`, mapped element by
+element.
+
+Uniforms are drawn in blocks (:func:`_draw_block`): numpy's legacy
+MT19937 is loaded from the stream's ``getstate()`` and draws
+``random()``'s 53-bit doubles value for value; then ``getrandbits``
+advances the stream by two 32-bit outputs per value (:func:`_skip`), so
+it ends where as many ``random()`` calls would have left it.  Each
+block has the exact size the reference draws: one air uniform per
+submitted chunk, one radio uniform per delivery plus two per fresh
+Box–Muller pair (which follows from ``gauss_next``), and for the frame
+sizes the two uniforms of every rejection attempt up to the last frame's
+accepted one (:func:`_frame_sizes` peeks a block, then advances past
+exactly those).
+
+A session with two or more background classes runs the general executor:
+the fold lane's demand split is :func:`_background_split`, precomputed
+once per lane, and the reference's sum over a set of QCIs for more
+classes has to be replayed per submit by the live ``_demand_split``.
+
+Tie rule
+--------
+
+The reference loop breaks time ties by schedule order (a global seq),
+and the lanes keep that order.  The general executor's wheel assigns its
+own seq at push time, at the same instants as the reference's
+``schedule`` calls.  The fold lane has no wheel, so it resolves the ties
+that can change a number — a COUNTER CHECK at the instant of a write to
+the modem counter it reads — with :class:`_WheelOrder`, which walks up
+the pushers of the two events while their times tie.  Two folds are
+proven safe in both executors' designs:
+
+* the downlink LAN hop (+0.5 ms) and SPGW charge are folded into frame
   processing: nothing in the path schedules events with a delay inside
   (2 ms, 2.5 ms), so no push can land between the fold point and the
   reference's scheduling instant with a colliding timestamp (frame gaps
   are ≥ 5 ms — eligibility caps fps at 200 — air delays are ≥ 4 ms,
   counter checks ≥ 50 ms apart, the LAN hop is 0.5 ms);
-* the uplink backhaul delivery (+2 ms) is folded into the air-delivery
-  event: the reference's delivery event schedules nothing, and nothing
-  that can fire inside the folded window reads the counters it writes
-  (RRC counter checks read only the modem counters, which tick at send
-  time).
+* the uplink backhaul delivery (+2 ms) is folded into the air delivery:
+  the reference's delivery event schedules nothing, and nothing that can
+  fire inside the folded window reads the counters it writes (RRC counter
+  checks read only the modem counters, which tick at send time).
 
-RRC release timers are *lazy*: a scalar ``release_at`` checked before
-every pop.  On a time tie the release fires first, matching the
-reference, where the release timer is always armed earlier (at the last
-data activity) than any event scheduled afterwards and so carries the
-smaller seq.  Pending periodic-check events are invalidated by a
-generation counter instead of heap surgery, mirroring timer ``cancel``.
+RRC release timers are *lazy*: a release fires before any event at its
+deadline, matching the reference, where the release timer is always
+armed earlier (at the last data activity) than any event scheduled
+afterwards and so carries the smaller seq; a release therefore reads
+only the writes strictly before it.  The general executor keeps the
+reserved seq for exact ties with absorbed events, and cancels pending
+periodic checks by a generation counter instead of heap surgery,
+mirroring timer ``cancel``.
 
-Two executors share the wheel
------------------------------
+Shared parts
+------------
 
-Sessions whose path state cannot change mid-frame (no outages, no RSS
-recording, no quota, no handover) run the **fold loops** above — the
-fastest path, because whole frames collapse into straight-line
-arithmetic.  Sessions with a radio outage process, RSS recording, a PCRF
-quota or an X2 handover schedule run the **general-mode executor**
-(:class:`_GeneralRun`): same private wheel, same flat mirrored state,
-but per-packet-hop events like the reference engine, because an outage
-window, an RLF detach, a policer refill or a handover break can land
-between any two chunks.  General mode trades the fold speedup for
-coverage, but its per-hop work is local code too: it skips the shared
-event loop's closure allocation and object hops, and it calls no
-workload, radio, air or counter method per hop.
-
-Both executors share one copy of what they do alike:
-
-* the physics helpers — :func:`_frame_size` (per frame in both) and
-  :func:`_survives_air` (per delivery in general mode; the fold loops
-  keep the RSS walk in locals) — and :func:`_background_split`, the
-  proven ≤ 1-background ``_demand_split`` specialization, with the live
-  ``_demand_split`` as the fallback for more classes;
+* the physics helpers — :func:`_frame_size` (per frame in general mode;
+  the fold lane draws them all at once with :func:`_frame_sizes`),
+  :func:`_survives_air` (per delivery in general mode) and
+  :func:`_background_split`, the proven ≤ 1-background
+  ``_demand_split`` specialization;
 * COUNTER CHECK reports, buffered as plain ``(t, uplink_bytes,
   downlink_bytes)`` triples and handed over once at flush: the operator's
   :class:`~repro.edge.monitors.CounterCheckMonitor` ingests them in one
@@ -89,20 +130,21 @@ Both executors share one copy of what they do alike:
 * plain sums (air, link and middlebox FlowStats, metric counters)
   applied once by :func:`_flush_path`.
 
-Counters the lane writes take a lean path: the fold loops append points
-into :class:`_Cum` mirrors installed at flush, and general mode adds into
-the live counters through :func:`_count`, ``CumulativeCounter.add``
-without its per-call validation (wheel times never run backwards).
+Counters the lane writes take a lean path: the fold lane builds whole
+point series (:func:`_series`, the ``CumulativeCounter.add`` coalescing
+rule over a cumulative sum) into :class:`_Cum` mirrors installed at
+flush, and general mode adds into the live counters through
+:func:`_count`, ``CumulativeCounter.add`` without its per-call
+validation (wheel times never run backwards).
 
-Fault schedules run in general mode too: path-kind decisions
-(burst-loss / reorder / duplicate / corrupt / blackout) are replayed at
-the lane's uplink/downlink injection points through the injector's own
+Fault schedules run in general mode: path-kind decisions (burst-loss /
+reorder / duplicate / corrupt / blackout) are replayed at the lane's
+uplink/downlink injection points through the injector's own
 ``decide_at`` — same "faults" RNG stream, same draw order, same trace
 records — via a precomputed :class:`~repro.netsim.faults.LaneFaultView`;
 counter resets are absorbed loop events replayed on the wheel; clock
 skew/drift never touches the lane (both engines apply ``skew_at`` in the
-shared ``collect()`` phase), so clock-only schedules keep the fold
-loops.
+shared ``collect()`` phase), so clock-only schedules keep the fold lane.
 
 What NO lane supports — app-level ``on_receive`` hooks, frame rates
 above the tie-safety bound — is refused by the eligibility check in
@@ -115,6 +157,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count as _count_from
 from math import cos as _cos, exp as _exp, log as _log, sin as _sin, sqrt as _sqrt, tau as _TWOPI
+
+import numpy as np
 
 # random.NV_MAGICCONST, same expression so the same float.
 _NV_MAGIC = 4 * _exp(-0.5) / _sqrt(2.0)
@@ -161,9 +205,9 @@ _INF = float("inf")
 class _Cum:
     """Bulk-built mirror of :class:`~repro.netsim.counters.CumulativeCounter`.
 
-    The hot loops append (time, cumulative) points straight onto
-    ``times``/``cums`` — same coalescing rule as ``CumulativeCounter.add``
-    — and install them into the real counter in one shot at flush time.
+    The fold lane builds the (time, cumulative) point series of a whole
+    lane (:func:`_series`) and installs it into the real counter in one
+    shot at flush time.
     """
 
     __slots__ = ("times", "cums", "total")
@@ -180,6 +224,28 @@ class _Cum:
         counter._times = self.times
         counter._cums = self.cums
         counter._total = self.total
+
+    def copy(self) -> "_Cum":
+        """A twin counter with the same points (their objects shared)."""
+        twin = _Cum()
+        twin.times, twin.cums, twin.total = self.times[:], self.cums[:], self.total
+        return twin
+
+
+def _series(times, nbytes) -> _Cum:
+    """``CumulativeCounter.add`` of each ``(time, bytes)`` write, in order.
+
+    Writes come in time order; a run of same-time writes coalesces into
+    one point holding the run's last cumulative total.
+    """
+    cum = _Cum()
+    if len(times):
+        cums = np.cumsum(nbytes)
+        last = np.concatenate((times[1:] != times[:-1], [True]))
+        cum.times = times[last].tolist()
+        cum.cums = cums[last].tolist()
+        cum.total = int(cums[-1])
+    return cum
 
 
 def _count(counter, t: float, nbytes: int) -> None:
@@ -222,6 +288,74 @@ def _frame_size(random, frames_sent: int, shape: tuple) -> int:
             break
     size = int(_exp(0.0 + z * size_sigma) * mean)
     return size if size > 64 else 64
+
+
+#: The one MT19937 generator the block draws run on (lanes run one at a
+#: time; each block loads the stream's state first).
+_MT = np.random.RandomState()
+
+
+def _peek_block(rng, n: int):
+    """The next ``n`` ``rng.random()`` values, leaving ``rng`` untouched.
+
+    numpy's legacy MT19937 doubles are CPython's ``random()`` (two 32-bit
+    outputs, 53 bits), drawn from the state ``getstate()`` exports.
+    """
+    _, internal, _ = rng.getstate()
+    _MT.set_state(("MT19937", internal[:-1], internal[-1]))
+    return _MT.random_sample(n)
+
+
+def _skip(rng, n: int) -> None:
+    """Advance ``rng`` past ``n`` ``random()`` calls.
+
+    Each call takes two 32-bit outputs and ``getrandbits`` takes one per
+    32 bits, so the stream ends in the same state; ``gauss_next`` is left
+    alone, as ``random()`` leaves it.  Steps of 65536 calls keep each
+    throwaway integer at 512 KiB.
+    """
+    while n > 0:
+        step = min(n, 65536)
+        rng.getrandbits(64 * step)
+        n -= step
+
+
+def _draw_block(rng, n: int):
+    """The next ``n`` ``rng.random()`` values as one array, consumed."""
+    if not n:
+        return np.empty(0)
+    block = _peek_block(rng, n)
+    _skip(rng, n)
+    return block
+
+
+def _frame_sizes(rng, n: int, shape: tuple):
+    """:func:`_frame_size` for frames 0 .. n - 1, as one array.
+
+    Each rejection attempt takes the next two uniforms, so the attempts
+    are the consecutive pairs of a pre-drawn block, and frame k keeps the
+    k-th accepted one; the stream then advances past exactly the draws
+    the frames took.  ``log`` and ``exp`` stay on ``math``.
+    """
+    if not n:
+        return np.zeros(0, dtype=np.int64)
+    mean, iframe_n, iframe_scale, size_sigma = shape
+    attempts = n + n // 2 + 16  # about 1.37 attempts per frame
+    while True:
+        u = _peek_block(rng, 2 * attempts)
+        u2 = 1.0 - u[1::2]
+        z = _NV_MAGIC * (u[0::2] - 0.5) / u2
+        accepted = np.flatnonzero(z * z / 4.0 <= -np.array(list(map(_log, u2.tolist()))))
+        if len(accepted) >= n:
+            break
+        attempts *= 2
+    accepted = accepted[:n]
+    _skip(rng, 2 * (int(accepted[-1]) + 1))
+    if iframe_n > 0:
+        p_frame = mean * iframe_n / (iframe_n - 1 + iframe_scale)
+        mean = np.where(np.arange(n) % iframe_n == 0, p_frame * iframe_scale, p_frame * 1.0)
+    scale = np.array(list(map(_exp, (0.0 + z[accepted] * size_sigma).tolist())))
+    return np.maximum((scale * mean).astype(np.int64), 64)
 
 
 def _survives_air(radio, walk: tuple) -> bool:
@@ -395,7 +529,7 @@ class LaneSpec:
 
     # ---- general mode (outage / quota / RSS / handover sessions) ----
     #: Run the general-mode executor (:class:`_GeneralRun`) instead of
-    #: the direction-specialized fold loops.
+    #: the fold lane.
     general: bool = False
     ue: object = None  # cellular.enodeb.UeContext
     access: object = None  # cellular.network.UeAccess
@@ -425,93 +559,113 @@ class LaneSpec:
     report_monitor: object = None
 
 
-class _LaneRun:
-    """One lane's execution state.  See the module docstring for the contract."""
+class _WheelOrder:
+    """Same-instant pop order of the events a fold lane's wheel would hold.
 
-    __slots__ = (
-        "spec", "until", "end", "heap", "seq",
-        # workload
-        "wl_rng", "fps", "frame_dt", "packet_bytes", "shape",
-        "frames_sent", "bytes_offered",
-        # air
-        "air_random", "capacity", "cap_usable", "prop", "max_qd",
-        "split_general", "bg_higher", "bg_same",
-        "window", "win_samples", "win_bits",
-        "off_p", "off_b", "drop_p", "drop_b", "trans_p", "trans_b",
-        # radio
-        "radio_rng", "rss", "rss_base", "rss_noise", "rss_floor",
-        "rss_ceiling", "base_loss", "loss_at_floor",
-        # rrc
-        "connected", "release_at", "timeout", "check_dt", "gen", "reports",
-        "setups", "releases", "checks_sent",
-        # counters
-        "mod_cum", "bearer_cum", "dev_cum", "srv_cum",
-        "charged", "received", "latencies",
-        # path
-        "lan_s", "bk_s", "sla",
-        "link_sent_p", "link_sent_b", "link_del_p", "link_del_b",
-        "mb_pass_p", "mb_pass_b", "mb_drop_p", "mb_drop_b",
-    )
+    The wheel pops equal times in push order, and every event is pushed
+    while its pusher is handled, so two same-time events pop in the order
+    their pushers popped — or, when one handler pushed both, in the order
+    of its pushes.  :meth:`first` walks up the pushers while their times
+    tie.  Events are ``(kind, index)`` pairs:
+
+    * ``(_K_FRAME, k)``: frame k, pushed by frame k - 1 (frame 0 before
+      anything else).  An uplink frame pushes its check (if it connects)
+      and its deliveries, then the next frame; a downlink frame pushes the
+      next frame, then its arrival;
+    * ``(_K_ARRIVAL, k)``: frame k's downlink eNodeB arrival, which pushes
+      its check (if it connects), then its deliveries;
+    * ``(_K_DELIVER, i)``: chunk i's air delivery, pushed in chunk order;
+    * ``(_K_CHECK, g)``: periodic check g, pushed by check g - 1 of the same
+      connection or, for a connection's first check, by the activity that
+      connected (``check_parent[g]``, that frame's index; else -1).
+    """
+
+    def __init__(self, is_uplink, frame_t, arrival_t, deliver_t, chunk_frame, check_t, check_parent):
+        self.act_kind = _K_FRAME if is_uplink else _K_ARRIVAL
+        self.next_frame_rank = _INF if is_uplink else 0
+        self.times = {_K_FRAME: frame_t, _K_ARRIVAL: arrival_t, _K_DELIVER: deliver_t, _K_CHECK: check_t}
+        self.chunk_frame = chunk_frame
+        self.check_parent = check_parent
+        self.memo: dict = {}
+
+    def _pusher(self, event):
+        kind, i = event
+        if kind == _K_FRAME:
+            return (_K_FRAME, i - 1) if i else None
+        if kind == _K_ARRIVAL:
+            return (_K_FRAME, i)
+        if kind == _K_DELIVER:
+            return (self.act_kind, int(self.chunk_frame[i]))
+        parent = self.check_parent[i]
+        return (_K_CHECK, i - 1) if parent < 0 else (self.act_kind, parent)
+
+    def _rank(self, event):
+        """Position among one handler's pushes."""
+        kind, i = event
+        if kind == _K_CHECK:
+            return -1  # a connecting activity arms its check first
+        if kind == _K_DELIVER:
+            return i
+        if kind == _K_ARRIVAL:
+            return 1
+        return self.next_frame_rank
+
+    def first(self, a, b) -> bool:
+        """Whether same-time event ``a`` pops before event ``b``."""
+        memo, times = self.memo, self.times
+        walked = []
+        while True:
+            found = memo.get((a, b))
+            if found is not None:
+                break
+            ta, tb = times[a[0]][a[1]], times[b[0]][b[1]]
+            if ta != tb:
+                found = ta < tb
+                break
+            pa, pb = self._pusher(a), self._pusher(b)
+            if pa is None or pb is None:
+                found = pa is None
+                break
+            if pa == pb:
+                found = self._rank(a) < self._rank(b)
+                break
+            walked.append((a, b))
+            a, b = pa, pb
+        for pair in walked:
+            memo[pair] = found
+        return found
+
+
+class _LaneRun:
+    """One fold lane: a quiet session's simulate() phase as array phases.
+
+    See the module docstring for the contract and :meth:`run` for the
+    phases.
+    """
 
     def __init__(self, spec: LaneSpec, horizon: float, settle: float) -> None:
         self.spec = spec
         self.until = horizon
         self.end = horizon + settle
-        self.heap: list[tuple] = []
-        self.seq = 0
+        self.packet_bytes = spec.workload.profile.packet_bytes
+        split = _background_split(spec.air._background, spec.air_qci)
+        if split is None:
+            raise ValueError("a fold lane takes at most one background class")
+        self.bg_higher, self.bg_same = split
 
-        profile = spec.workload.profile
-        self.wl_rng = spec.workload._rng
-        self.fps = profile.fps
-        self.frame_dt = 1.0 / profile.fps
-        self.packet_bytes = profile.packet_bytes
-        self.shape = _frame_shape(profile)
-        self.frames_sent = 0
-        self.bytes_offered = 0
-
-        air = spec.air
-        self.air_random = air._rng.random
-        self.capacity = air.capacity_bps
-        # AirInterface.drop_probability recomputes capacity * usable_fraction
-        # per call; the product is the same float every time.
-        self.cap_usable = air.capacity_bps * air.usable_fraction
-        self.prop = air.propagation_delay_s
-        self.max_qd = air.max_queue_delay_s
-        split = _background_split(air._background, spec.air_qci)
-        self.split_general = split is None
-        self.bg_higher, self.bg_same = split or (0.0, 0.0)
+        self.frames_sent = self.bytes_offered = 0
         # The foreground RateWindow the reference creates at the first
-        # submit; the hot loops observe into its deque with the bit sum
-        # in a local, and it is installed on the air at flush.
+        # submit, holding the last submit's window; installed at flush.
         self.window = RateWindow()
-        self.win_samples = self.window._samples
         self.win_bits = 0
-        self.off_p = self.off_b = 0
-        self.drop_p = self.drop_b = 0
+        self.off_p = self.off_b = self.drop_p = self.drop_b = 0
         self.trans_p = self.trans_b = 0
+        self.rss = spec.radio._current_rss
 
-        radio = spec.radio
-        rp = radio.profile
-        self.radio_rng = radio._rng
-        self.rss = radio._current_rss
-        self.rss_base = rp.base_rss_dbm
-        self.rss_noise = rp.rss_noise_std
-        self.rss_floor = rp.rss_floor_dbm
-        self.rss_ceiling = rp.rss_ceiling_dbm
-        self.base_loss = rp.base_loss
-        self.loss_at_floor = rp.loss_at_floor
-
-        rrc = spec.rrc
         self.connected = False  # rrc.state is IDLE at a fresh start
-        self.release_at = _INF
-        self.timeout = rrc.inactivity_timeout_s
-        self.check_dt = rrc.counter_check_interval_s
-        self.gen = 0
         # COUNTER CHECK reports, handed to the sink at flush.
-        self.reports: list | None = [] if rrc.report_sink is not None else None
-        self.setups = 0
-        self.releases = 0
-        self.checks_sent = 0
+        self.reports: list | None = [] if spec.rrc.report_sink is not None else None
+        self.setups = self.releases = self.checks_sent = 0
 
         self.mod_cum = _Cum()  # modem counter for the lane's direction
         self.bearer_cum = _Cum()
@@ -520,10 +674,6 @@ class _LaneRun:
         self.charged = 0
         self.received = 0
         self.latencies: list[float] = []
-
-        self.lan_s = spec.lan_s
-        self.bk_s = spec.backhaul_s
-        self.sla = spec.sla_budget
         self.link_sent_p = self.link_sent_b = 0
         self.link_del_p = self.link_del_b = 0
         self.mb_pass_p = self.mb_pass_b = 0
@@ -532,528 +682,293 @@ class _LaneRun:
     # ------------------------------------------------------------------ run
 
     def run(self) -> None:
-        # FrameWorkload.start: jitter = rng.uniform(0.0, 1.0 / fps),
-        # first frame at loop.now() + jitter.
-        jitter = self.wl_rng.uniform(0.0, 1.0 / self.fps)
-        self.seq += 1
-        heappush(self.heap, (self.spec.t0 + jitter, self.seq, _K_FRAME, 0, 0))
-        if self.spec.is_uplink:
-            self._run_ul()
+        """Frames, air submits, deliveries, then counters and RRC reports."""
+        spec = self.spec
+        frame_t, frame_b = self._frames()
+        if spec.is_uplink:
+            # EdgeDevice.send: the device monitor and the modem count the
+            # whole frame at its send time, and every frame is activity.
+            self.dev_cum = _series(frame_t, frame_b)
+            self.mod_cum = self.dev_cum.copy()
+            arrival_t = None
+            act_frame = np.arange(len(frame_t))
+            act_t = frame_t
         else:
-            self._run_dl()
+            arrival_t, act_frame = self._dl_frames(frame_t, frame_b)
+            act_t = arrival_t[act_frame]
+        chunk_t, chunk_b, chunk_frame, kept, kept_t = self._submit(act_t, frame_b[act_frame], act_frame)
+
+        # Deliveries pop in time order, equal times in push (chunk) order;
+        # those after the settle edge never pop.
+        order = np.argsort(kept_t, kind="stable")
+        n = int(np.searchsorted(kept_t[order], self.end, "right"))
+        deliv_chunk = kept[order[:n]]
+        deliv_t = kept_t[order[:n]]
+        deliv_b = chunk_b[deliv_chunk]
+        self.trans_p, self.trans_b = n, int(deliv_b.sum())
+        survived = self._survive_air(n)
+        surv_t = deliv_t[survived]
+        surv_b = deliv_b[survived]
+        if spec.is_uplink:
+            # The backhaul (pure delay), then Spgw.receive_uplink: bearer
+            # charge and server monitor at delivery + backhaul.
+            gw_t = surv_t + spec.backhaul_s
+            self.bearer_cum = _series(gw_t, surv_b)
+            self.srv_cum = self.bearer_cum.copy()
+            self.latencies = (gw_t - chunk_t[deliv_chunk[survived]]).tolist()
+            self.received = self.link_sent_p = self.link_del_p = len(surv_b)
+            self.link_sent_b = self.link_del_b = int(surv_b.sum())
+            writes = (frame_t, frame_b, _K_FRAME, range(len(frame_t)))
+        else:
+            # modem.count_downlink, then device.deliver's monitor.
+            self.mod_cum = _series(surv_t, surv_b)
+            self.dev_cum = self.mod_cum.copy()
+            writes = (surv_t, surv_b, _K_DELIVER, deliv_chunk[survived])
+        self.charged = self.bearer_cum.total
+
+        rep_t, rep_check, check_t, check_parent = self._rrc(act_t, act_frame)
+        if self.reports is not None and rep_t:
+            deliver_t = np.full(len(chunk_t), _INF)
+            deliver_t[kept] = kept_t
+            order = _WheelOrder(
+                spec.is_uplink, frame_t, arrival_t, deliver_t, chunk_frame, check_t, check_parent
+            )
+            self._read_reports(rep_t, rep_check, *writes, order)
         self._flush()
 
-    # ---------------------------------------------------------- cold paths
+    # --------------------------------------------------------------- phases
 
-    def _counter_check(self, t: float, ul_total: int, dl_total: int) -> None:
-        # rrc.perform_counter_check + modem.counter_check at time t.
-        self.checks_sent += 1
-        if self.reports is not None:
-            self.reports.append((t, ul_total, dl_total))
-
-    # --------------------------------------------------------- uplink loop
-
-    def _run_ul(self) -> None:
-        # Hot state cached in locals; synced back to attributes at the end.
-        heap = self.heap
-        pop, push = heappop, heappush
-        end = self.end
+    def _frames(self) -> tuple:
+        """FrameWorkload's frames: send times and sizes, drawn in order."""
+        spec = self.spec
+        wl = spec.workload
+        profile = wl.profile
+        shape = _frame_shape(profile)
+        frame_dt = 1.0 / profile.fps
         until = self.until
-        seq = self.seq
+        # FrameWorkload.start: the first frame at t0 + a uniform phase
+        # jitter; each frame schedules the next frame_dt later, and frames
+        # past the horizon send nothing.
+        te = spec.t0 + wl._rng.uniform(0.0, 1.0 / profile.fps)
+        times = []
+        while te <= until:
+            times.append(te)
+            te = te + frame_dt
+        sizes = _frame_sizes(wl._rng, len(times), shape)
+        self.frames_sent = len(times)
+        self.bytes_offered = int(sizes.sum())
+        return np.array(times, dtype=float), sizes
 
-        frame_dt = self.frame_dt
-        packet_bytes = self.packet_bytes
-        shape = self.shape
-        wl_random = self.wl_rng.random
-        frames_sent = self.frames_sent
-        bytes_offered = self.bytes_offered
+    def _dl_frames(self, frame_t, frame_b) -> tuple:
+        """EdgeServer.send with the LAN hop, SPGW charge and SLA check.
 
-        air_random = self.air_random
-        capacity = self.capacity
-        cap_usable = self.cap_usable
-        prop = self.prop
-        max_qd = self.max_qd
-        split_general = self.split_general
-        bg_higher = self.bg_higher
-        bg_same = self.bg_same
-        win_samples = self.win_samples
-        win_bits = self.win_bits
-        off_p = off_b = drop_p = drop_b = trans_p = trans_b = 0
+        Returns the frames' eNodeB arrival times and the indices of the
+        frames whose arrival pops by the settle edge.
+        """
+        spec = self.spec
+        n_chunks = -(-frame_b // self.packet_bytes)
+        self.srv_cum = _series(frame_t, frame_b)  # server.dl_monitor at send
+        gw_t = frame_t + spec.lan_s  # the LAN link delivers, the SPGW charges
+        self.bearer_cum = _series(gw_t, frame_b)
+        self.link_sent_p = self.link_del_p = int(n_chunks.sum())
+        self.link_sent_b = self.link_del_b = self.bytes_offered
+        # SlaMiddlebox.process: loop.now() - created_at > budget drops the
+        # frame's chunks (charged, *then* dropped — that asymmetry is the point).
+        if spec.sla_budget is None:
+            passed = np.ones(len(frame_t), dtype=bool)
+        else:
+            passed = ~(gw_t - frame_t > spec.sla_budget)
+        self.mb_pass_p = int(n_chunks[passed].sum())
+        self.mb_pass_b = int(frame_b[passed].sum())
+        self.mb_drop_p = self.link_sent_p - self.mb_pass_p
+        self.mb_drop_b = self.bytes_offered - self.mb_pass_b
+        arrival_t = gw_t + spec.backhaul_s  # _forward_backhaul_dl
+        return arrival_t, np.flatnonzero(passed & (arrival_t <= self.end))
 
-        radio_rng = self.radio_rng
-        radio_random = radio_rng.random
-        # random.gauss is inlined in the deliver branch (same algorithm,
-        # same draws); its carry-over cache rides along as a local.
-        gauss_next = radio_rng.gauss_next
+    def _submit(self, act_t, act_b, act_frame) -> tuple:
+        """AirInterface.submit of every chunk in activity order.
+
+        Returns each chunk's submit time, size and frame index, then the
+        indices of the chunks the air kept and their delivery times.
+        """
+        air = self.spec.air
+        pb = self.packet_bytes
+        # Fragmentation: full packet_bytes chunks, then the remainder.
+        n_chunks = -(-act_b // pb)
+        n = int(n_chunks.sum())
+        chunk_b = np.full(n, pb, dtype=np.int64)
+        tail = act_b % pb
+        has_tail = tail > 0
+        chunk_b[(np.cumsum(n_chunks) - 1)[has_tail]] = tail[has_tail]
+        chunk_t = np.repeat(act_t, n_chunks)
+        chunk_frame = np.repeat(act_frame, n_chunks)
+        self.off_p, self.off_b = n, int(act_b.sum())
+
+        # RateWindow.observe (window_s = 1.0): after chunk i the window
+        # holds the chunks j <= i with t_j > t_i - 1.0.
+        bits = chunk_b * 8
+        cum = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(bits, out=cum[1:])
+        first = np.searchsorted(chunk_t, chunk_t - 1.0, "right")
+        win_bits = cum[1:] - cum[first]
+        if n:
+            start = int(first[-1])
+            self.window._samples.extend(zip(chunk_t[start:].tolist(), bits[start:].tolist()))
+            self.win_bits = int(win_bits[-1])
+
+        u = _draw_block(air._rng, n)  # submit draws before drop_probability
+        higher = self.bg_higher
+        same = self.bg_same + win_bits / 1.0  # RateWindow.rate_bps
+        # drop_probability, max/min unrolled.
+        usable = air.capacity_bps * air.usable_fraction - higher
+        if usable < 0.0:
+            usable = 0.0
+        p = np.zeros(n)
+        hot = (same > usable) & (same > 0)
+        if usable <= 0:
+            p[hot] = 1.0
+        else:
+            p[hot] = 1.0 - usable / same[hot]
+        kept = np.flatnonzero(u >= p)
+        self.drop_p = n - len(kept)
+        kept_b = chunk_b[kept]
+        self.drop_b = self.off_b - int(kept_b.sum())
+
+        # queue_delay recomputes _demand_split at the same instant with
+        # unchanged state, so it sees the same (higher, same).
+        capacity = air.capacity_bps
+        rho = np.minimum((higher + same[kept]) / capacity, 0.99)
+        qd = np.where(rho < 0.5, 0.0, np.minimum(0.002 * rho / (1.0 - rho), air.max_queue_delay_s))
+        delay = air.propagation_delay_s + qd + kept_b * 8.0 / capacity
+        return chunk_t, chunk_b, chunk_frame, kept, chunk_t[kept] + delay
+
+    def _survive_air(self, n: int):
+        """``RadioChannel.survives_air`` for ``n`` deliveries in pop order.
+
+        ``_walk_rss`` with ``random.gauss`` inlined, then one ``random() >=
+        loss_probability()`` draw, on uniforms pre-drawn in one block.  A
+        delivery on a fresh Box–Muller pair draws the pair's two uniforms,
+        then its survival draw; the next delivery takes the pair's cached
+        second normal and draws only its survival.  Only the RSS walk
+        itself is a sequential loop.
+        """
+        rng = self.spec.radio._rng
+        if not n:
+            return np.zeros(0, dtype=bool)
+        cached = rng.gauss_next
+        head = 0 if cached is None else 1
+        fresh = (n - head + 1) // 2
+        odd = (n - head) % 2  # the last pair's second normal stays cached
+        u = _draw_block(rng, n + 2 * fresh)
+        # One row per fresh pair: its two uniforms and the two survival
+        # draws, padded where an odd tail has no second delivery.
+        pairs = np.concatenate((u[head:], np.zeros(odd))).reshape(fresh, 4)
+        x2pi = (pairs[:, 0] * _TWOPI).tolist()
+        g2rad = -2.0 * np.array(list(map(_log, (1.0 - pairs[:, 1]).tolist())))
+        g2rad = np.array(list(map(_sqrt, g2rad.tolist())))
+        normals = np.empty(2 * fresh)
+        normals[0::2] = np.array(list(map(_cos, x2pi))) * g2rad
+        normals[1::2] = np.array(list(map(_sin, x2pi))) * g2rad
+        draws = pairs[:, 2:].ravel()
+        if head:
+            normals = np.concatenate(([cached], normals))
+            draws = np.concatenate((u[:1], draws))
+        rng.gauss_next = float(normals[n]) if odd else None
+
+        rp = self.spec.radio.profile
+        base, floor, ceiling = rp.base_rss_dbm, rp.rss_floor_dbm, rp.rss_ceiling_dbm
         rss = self.rss
-        rss_base = self.rss_base
-        rss_noise = self.rss_noise
-        rss_floor = self.rss_floor
-        rss_ceiling = self.rss_ceiling
-        base_loss = self.base_loss
-        loss_at_floor = self.loss_at_floor
-
-        connected = self.connected
-        release_at = self.release_at
-        timeout = self.timeout
-        check_dt = self.check_dt
-        gen = self.gen
-
-        dev = self.dev_cum  # device.ul_monitor
-        dev_times, dev_cums, dev_total = dev.times, dev.cums, dev.total
-        mod = self.mod_cum  # modem.ul_sent
-        mod_times, mod_cums, mod_total = mod.times, mod.cums, mod.total
-        bearer = self.bearer_cum
-        b_times, b_cums, b_total = bearer.times, bearer.cums, bearer.total
-        srv = self.srv_cum  # server.ul_monitor
-        s_times, s_cums, s_total = srv.times, srv.cums, srv.total
-        latencies = self.latencies
-        received = 0
-        link_p = link_b = 0  # backhaul sent == delivered (pure delay, no loss)
-        bk_s = self.bk_s
-
-        while heap:
-            te, _, kind, a, b = pop(heap)
-            if te > end:
-                break  # reference run_until(end) leaves later events undispatched
-            # Lazy RRC release: the release timer was armed at the last
-            # data activity, so on a time tie it holds the smaller loop
-            # seq and fires before this event — process it first.
-            if connected and release_at <= te:
-                self._counter_check(release_at, mod_total, 0)
-                self.releases += 1
-                connected = False
-                gen += 1
-                release_at = _INF
-
-            if kind == _K_DELIVER:
-                # AirInterface._transmit -> ENodeB._air_deliver_ul.
-                trans_p += 1
-                trans_b += a
-                # RadioChannel.survives_air: _walk_rss (gauss) then
-                # random() >= loss_probability(current rss).
-                z = gauss_next
-                gauss_next = None
-                if z is None:
-                    x2pi = radio_random() * _TWOPI
-                    g2rad = _sqrt(-2.0 * _log(1.0 - radio_random()))
-                    z = _cos(x2pi) * g2rad
-                    gauss_next = _sin(x2pi) * g2rad
-                step = 0.0 + z * rss_noise  # gauss: mu + z * sigma, mu = 0.0
-                drift = 0.25 * (rss_base - rss)
-                rss = rss + drift + step
-                if rss < rss_floor:
-                    rss = rss_floor
-                elif rss > rss_ceiling:
-                    rss = rss_ceiling
-                if rss >= GOOD_RSS_DBM:
-                    loss = base_loss
-                else:
-                    span = GOOD_RSS_DBM - rss_floor
-                    frac = (GOOD_RSS_DBM - rss) / span
-                    if frac > 1.0:
-                        frac = 1.0
-                    loss = base_loss + frac * loss_at_floor
-                    if loss > 1.0:
-                        loss = 1.0
-                if radio_random() >= loss:
-                    # Backhaul link (pure delay) folded: its delivery event
-                    # schedules nothing and nothing fired in (te, te + bk_s]
-                    # reads the counters written here.
-                    link_p += 1
-                    link_b += a
-                    tg = te + bk_s
-                    # Spgw.receive_uplink: bearer charge + server sink.
-                    b_total += a
-                    if b_times and b_times[-1] == tg:
-                        b_cums[-1] = b_total
-                    else:
-                        b_times.append(tg)
-                        b_cums.append(b_total)
-                    s_total += a  # server.ul_monitor.observe
-                    if s_times and s_times[-1] == tg:
-                        s_cums[-1] = s_total
-                    else:
-                        s_times.append(tg)
-                        s_cums.append(s_total)
-                    received += 1
-                    latencies.append(tg - b)  # b = packet created_at
-                # else: phy-rss loss
-
-            elif kind == _K_FRAME:
-                # FrameWorkload._emit_frame with sender = EdgeDevice.send.
-                if te > until:
-                    continue
-                remaining = _frame_size(wl_random, frames_sent, shape)
-                frames_sent += 1
-                # All chunks of one frame land at the same te inside one
-                # handler, so the per-chunk monitor/modem adds coalesce
-                # into a single cumulative point — nothing reads the
-                # counters between chunks.
-                dev_total += remaining  # device.ul_monitor.observe
-                if dev_times and dev_times[-1] == te:
-                    dev_cums[-1] = dev_total
-                else:
-                    dev_times.append(te)
-                    dev_cums.append(dev_total)
-                mod_total += remaining  # access.send_uplink -> modem.count_uplink
-                if mod_times and mod_times[-1] == te:
-                    mod_cums[-1] = mod_total
-                else:
-                    mod_times.append(te)
-                    mod_cums.append(mod_total)
-                bytes_offered += remaining
-                while remaining > 0:
-                    chunk = remaining if remaining < packet_bytes else packet_bytes
-                    # enodeb.receive_uplink -> rrc.on_data_activity:
-                    # _setup (arming the periodic check) then release rearm.
-                    if not connected:
-                        connected = True
-                        self.setups += 1
-                        if check_dt is not None:
-                            seq += 1
-                            push(heap, (te + check_dt, seq, _K_CHECK, gen, 0))
-                    release_at = te + timeout
-                    # uplink_air.submit — RateWindow.observe(te, chunk):
-                    bits = chunk * 8
-                    win_samples.append((te, bits))
-                    win_bits += bits
-                    cutoff = te - 1.0  # window_s = 1.0 (reference default)
-                    while win_samples and win_samples[0][0] <= cutoff:
-                        win_bits -= win_samples.popleft()[1]
-                    off_p += 1
-                    off_b += chunk
-                    # submit draws rng.random() before drop_probability.
-                    u = air_random()
-                    if split_general:
-                        higher, same = _live_split(self.spec, self.window, te, win_bits)
-                    else:
-                        higher = bg_higher
-                        same = bg_same + win_bits / 1.0  # RateWindow.rate_bps
-                    # drop_probability:
-                    usable = cap_usable - higher
-                    if usable < 0.0:
-                        usable = 0.0
-                    if same <= usable or same <= 0:
-                        p = 0.0
-                    elif usable <= 0:
-                        p = 1.0
-                    else:
-                        p = 1.0 - usable / same
-                    if u < p:
-                        drop_p += 1
-                        drop_b += chunk
-                    else:
-                        # queue_delay recomputes _demand_split at the same
-                        # instant with unchanged state — reuse (higher, same).
-                        rho = (higher + same) / capacity
-                        if rho > 0.99:
-                            rho = 0.99
-                        if rho < 0.5:
-                            qd = 0.0
-                        else:
-                            qd = 0.002 * rho / (1.0 - rho)
-                            if qd > max_qd:
-                                qd = max_qd
-                        delay = prop + qd + chunk * 8.0 / capacity
-                        seq += 1
-                        push(heap, (te + delay, seq, _K_DELIVER, chunk, te))
-                    remaining -= chunk
-                seq += 1
-                push(heap, (te + frame_dt, seq, _K_FRAME, 0, 0))
-
-            else:  # _K_CHECK (stale generations are cancelled timers)
-                if a == gen and connected:
-                    self._counter_check(te, mod_total, 0)
-                    seq += 1
-                    push(heap, (te + check_dt, seq, _K_CHECK, gen, 0))
-
-        # A release armed before the horizon's edge still fires inside the
-        # settle window even with no later event to trigger the lazy check.
-        if connected and release_at <= end:
-            self._counter_check(release_at, mod_total, 0)
-            self.releases += 1
-            connected = False
-            gen += 1
-            release_at = _INF
-
-        self.seq = seq
-        self.frames_sent = frames_sent
-        self.bytes_offered = bytes_offered
-        self.win_bits = win_bits
-        self.off_p, self.off_b = off_p, off_b
-        self.drop_p, self.drop_b = drop_p, drop_b
-        self.trans_p, self.trans_b = trans_p, trans_b
+        walk = []
+        append = walk.append
+        for step in (0.0 + normals[:n] * rp.rss_noise_std).tolist():  # gauss: mu + z * sigma
+            rss = rss + 0.25 * (base - rss) + step
+            if rss < floor:
+                rss = floor
+            elif rss > ceiling:
+                rss = ceiling
+            append(rss)
         self.rss = rss
-        radio_rng.gauss_next = gauss_next
-        self.connected = connected
-        self.release_at = release_at
-        self.gen = gen
-        dev.total = dev_total
-        mod.total = mod_total
-        bearer.total = b_total
-        srv.total = s_total
-        self.received = received
-        self.charged = b_total
-        self.link_sent_p = self.link_del_p = link_p
-        self.link_sent_b = self.link_del_b = link_b
+        walk = np.array(walk)
+        # loss_probability at each walked RSS, min unrolled.
+        frac = np.minimum((GOOD_RSS_DBM - walk) / (GOOD_RSS_DBM - floor), 1.0)
+        loss = np.minimum(rp.base_loss + frac * rp.loss_at_floor, 1.0)
+        loss[walk >= GOOD_RSS_DBM] = rp.base_loss
+        return draws[:n] >= loss
 
-    # ------------------------------------------------------- downlink loop
+    def _rrc(self, act_t, act_frame) -> tuple:
+        """RRC connections, checks and releases from the activity instants.
 
-    def _run_dl(self) -> None:
-        heap = self.heap
-        pop, push = heappop, heappush
+        ``rrc.on_data_activity`` re-arms the release timer at every
+        activity, so a connection ends at ``last + timeout`` unless the next
+        activity comes first; an activity at the deadline finds it
+        released.  Its periodic checks fire while they come before the
+        release and by the settle edge.  Returns the report instants in
+        emission order, each one's check index (-1 for a release), and the
+        checks' times and parents (see :class:`_WheelOrder`).
+        """
+        if not len(act_t):
+            return [], [], [], []
+        rrc = self.spec.rrc
+        timeout = rrc.inactivity_timeout_s
+        dt = rrc.counter_check_interval_s
         end = self.end
-        until = self.until
-        seq = self.seq
-
-        frame_dt = self.frame_dt
-        packet_bytes = self.packet_bytes
-        shape = self.shape
-        wl_random = self.wl_rng.random
-        frames_sent = self.frames_sent
-        bytes_offered = self.bytes_offered
-
-        air_random = self.air_random
-        capacity = self.capacity
-        cap_usable = self.cap_usable
-        prop = self.prop
-        max_qd = self.max_qd
-        split_general = self.split_general
-        bg_higher = self.bg_higher
-        bg_same = self.bg_same
-        win_samples = self.win_samples
-        win_bits = self.win_bits
-        off_p = off_b = drop_p = drop_b = trans_p = trans_b = 0
-
-        radio_rng = self.radio_rng
-        radio_random = radio_rng.random
-        # random.gauss is inlined in the deliver branch (same algorithm,
-        # same draws); its carry-over cache rides along as a local.
-        gauss_next = radio_rng.gauss_next
-        rss = self.rss
-        rss_base = self.rss_base
-        rss_noise = self.rss_noise
-        rss_floor = self.rss_floor
-        rss_ceiling = self.rss_ceiling
-        base_loss = self.base_loss
-        loss_at_floor = self.loss_at_floor
-
-        connected = self.connected
-        release_at = self.release_at
-        timeout = self.timeout
-        check_dt = self.check_dt
-        gen = self.gen
-
-        dev = self.dev_cum  # device.dl_monitor
-        dev_times, dev_cums, dev_total = dev.times, dev.cums, dev.total
-        mod = self.mod_cum  # modem.dl_received
-        mod_times, mod_cums, mod_total = mod.times, mod.cums, mod.total
-        bearer = self.bearer_cum
-        b_times, b_cums, b_total = bearer.times, bearer.cums, bearer.total
-        srv = self.srv_cum  # server.dl_monitor
-        s_times, s_cums, s_total = srv.times, srv.cums, srv.total
-        lan_s = self.lan_s
-        bk_s = self.bk_s
-        sla = self.sla
-        link_p = link_b = 0  # LAN sent == delivered (pure delay, no loss)
-        mb_pass_p = mb_pass_b = mb_drop_p = mb_drop_b = 0
-
-        while heap:
-            te, _, kind, a, b = pop(heap)
-            if te > end:
-                break
-            if connected and release_at <= te:
-                self._counter_check(release_at, 0, mod_total)
+        release_at = act_t + timeout
+        stops = np.flatnonzero(release_at[:-1] <= act_t[1:])
+        starts = np.concatenate(([0], stops + 1))
+        stops = np.concatenate((stops, [len(act_t) - 1]))
+        rep_t, rep_check, check_t, check_parent = [], [], [], []
+        # Per connection: the connecting activity's frame and instant, and
+        # the release deadline its last activity armed.
+        for parent, first_t, released in zip(
+            act_frame[starts].tolist(), act_t[starts].tolist(), release_at[stops].tolist()
+        ):
+            if dt is not None:
+                # The connecting activity arms the first check; each check
+                # that fires arms the next; the release cancels them.
+                chain = []
+                c = first_t + dt
+                while c < released and c <= end:
+                    chain.append(c)
+                    c = c + dt
+                if chain:
+                    rep_t += chain
+                    rep_check += range(len(check_t), len(check_t) + len(chain))
+                    check_t += chain
+                    check_parent += [parent] + [-1] * (len(chain) - 1)
+            if released <= end:
+                rep_t.append(released)
+                rep_check.append(-1)
                 self.releases += 1
-                connected = False
-                gen += 1
-                release_at = _INF
+        self.setups = len(starts)
+        self.connected = self.setups > self.releases
+        self.checks_sent = len(rep_t)
+        return rep_t, rep_check, check_t, check_parent
 
-            if kind == _K_DELIVER:
-                # AirInterface._transmit -> ENodeB._air_deliver_dl (the UE
-                # stays attached and connected: no outages, no handovers).
-                trans_p += 1
-                trans_b += a
-                z = gauss_next
-                gauss_next = None
-                if z is None:
-                    x2pi = radio_random() * _TWOPI
-                    g2rad = _sqrt(-2.0 * _log(1.0 - radio_random()))
-                    z = _cos(x2pi) * g2rad
-                    gauss_next = _sin(x2pi) * g2rad
-                step = 0.0 + z * rss_noise  # gauss: mu + z * sigma, mu = 0.0
-                drift = 0.25 * (rss_base - rss)
-                rss = rss + drift + step
-                if rss < rss_floor:
-                    rss = rss_floor
-                elif rss > rss_ceiling:
-                    rss = rss_ceiling
-                if rss >= GOOD_RSS_DBM:
-                    loss = base_loss
-                else:
-                    span = GOOD_RSS_DBM - rss_floor
-                    frac = (GOOD_RSS_DBM - rss) / span
-                    if frac > 1.0:
-                        frac = 1.0
-                    loss = base_loss + frac * loss_at_floor
-                    if loss > 1.0:
-                        loss = 1.0
-                if radio_random() >= loss:
-                    mod_total += a  # modem.count_downlink
-                    if mod_times and mod_times[-1] == te:
-                        mod_cums[-1] = mod_total
-                    else:
-                        mod_times.append(te)
-                        mod_cums.append(mod_total)
-                    dev_total += a  # device.deliver -> dl_monitor.observe
-                    if dev_times and dev_times[-1] == te:
-                        dev_cums[-1] = dev_total
-                    else:
-                        dev_times.append(te)
-                        dev_cums.append(dev_total)
-                # else: phy-rss loss
+    def _read_reports(self, rep_t, rep_check, write_t, write_b, write_kind, write_index, order) -> None:
+        """The modem counter each COUNTER CHECK reports.
 
-            elif kind == _K_ARRIVAL:
-                # One frame's chunks, delivered back to back as in the
-                # reference.  Each is _forward_backhaul_dl's deliver ->
-                # ENodeB.receive_downlink: rrc.on_data_activity then
-                # downlink_air.submit.
-                for chunk in a:
-                    if not connected:
-                        connected = True
-                        self.setups += 1
-                        if check_dt is not None:
-                            seq += 1
-                            push(heap, (te + check_dt, seq, _K_CHECK, gen, 0))
-                    release_at = te + timeout
-                    bits = chunk * 8
-                    win_samples.append((te, bits))
-                    win_bits += bits
-                    cutoff = te - 1.0
-                    while win_samples and win_samples[0][0] <= cutoff:
-                        win_bits -= win_samples.popleft()[1]
-                    off_p += 1
-                    off_b += chunk
-                    u = air_random()
-                    if split_general:
-                        higher, same = _live_split(self.spec, self.window, te, win_bits)
-                    else:
-                        higher = bg_higher
-                        same = bg_same + win_bits / 1.0
-                    usable = cap_usable - higher
-                    if usable < 0.0:
-                        usable = 0.0
-                    if same <= usable or same <= 0:
-                        p = 0.0
-                    elif usable <= 0:
-                        p = 1.0
-                    else:
-                        p = 1.0 - usable / same
-                    if u < p:
-                        drop_p += 1
-                        drop_b += chunk
-                    else:
-                        rho = (higher + same) / capacity
-                        if rho > 0.99:
-                            rho = 0.99
-                        if rho < 0.5:
-                            qd = 0.0
-                        else:
-                            qd = 0.002 * rho / (1.0 - rho)
-                            if qd > max_qd:
-                                qd = max_qd
-                        delay = prop + qd + chunk * 8.0 / capacity
-                        seq += 1
-                        push(heap, (te + delay, seq, _K_DELIVER, chunk, 0))
-
-            elif kind == _K_FRAME:
-                # FrameWorkload._emit_frame with sender = EdgeServer.send,
-                # folding the LAN hop (te + lan_s), SPGW charge and
-                # middlebox SLA check.  The eNodeB arrival stays a real
-                # wheel event: a counter check or release may fire between
-                # the charge and the arrival.
-                if te > until:
-                    continue
-                remaining = _frame_size(wl_random, frames_sent, shape)
-                frames_sent += 1
-                tg = te + lan_s  # the LAN link's schedule_at(depart + latency)
-                # The reference fragments full packet_bytes chunks first,
-                # then the remainder; every chunk of the frame takes the
-                # same per-chunk writes at the same timestamps (server
-                # monitor at te, LAN + charge at tg, SLA verdict tg - te),
-                # so the whole frame folds into per-frame arithmetic.
-                n_full, last = divmod(remaining, packet_bytes)
-                chunks = (packet_bytes,) * n_full + ((last,) if last else ())
-                s_total += remaining  # server.dl_monitor.observe
-                if s_times and s_times[-1] == te:
-                    s_cums[-1] = s_total
-                else:
-                    s_times.append(te)
-                    s_cums.append(s_total)
-                link_p += len(chunks)  # lan link send() + _deliver() at tg
-                link_b += remaining
-                b_total += remaining  # spgw.send_downlink charge at tg
-                if b_times and b_times[-1] == tg:
-                    b_cums[-1] = b_total
-                else:
-                    b_times.append(tg)
-                    b_cums.append(b_total)
-                bytes_offered += remaining
-                # The reference schedules the next frame before the
-                # backhaul arrivals exist (the LAN delivery at tg schedules
-                # them), so the frame must carry the smaller seq.
-                seq += 1
-                push(heap, (te + frame_dt, seq, _K_FRAME, 0, 0))
-                # SlaMiddlebox.process: loop.now() - created_at > budget
-                # (charged, *then* dropped — that asymmetry is the point).
-                if sla is not None and tg - te > sla:
-                    mb_drop_p += len(chunks)
-                    mb_drop_b += remaining
-                else:
-                    mb_pass_p += len(chunks)
-                    mb_pass_b += remaining
-                    # One frame's arrivals all land at the same t_arr with
-                    # consecutive seqs in the reference, so nothing can
-                    # interleave between them — batch them into one event.
-                    t_arr = tg + bk_s  # _forward_backhaul_dl: schedule(+bk) at tg
-                    seq += 1
-                    push(heap, (t_arr, seq, _K_ARRIVAL, chunks, 0))
-
-            else:  # _K_CHECK
-                if a == gen and connected:
-                    self._counter_check(te, 0, mod_total)
-                    seq += 1
-                    push(heap, (te + check_dt, seq, _K_CHECK, gen, 0))
-
-        if connected and release_at <= end:
-            self._counter_check(release_at, 0, mod_total)
-            self.releases += 1
-            connected = False
-            gen += 1
-            release_at = _INF
-
-        self.seq = seq
-        self.frames_sent = frames_sent
-        self.bytes_offered = bytes_offered
-        self.win_bits = win_bits
-        self.off_p, self.off_b = off_p, off_b
-        self.drop_p, self.drop_b = drop_p, drop_b
-        self.trans_p, self.trans_b = trans_p, trans_b
-        self.rss = rss
-        radio_rng.gauss_next = gauss_next
-        self.connected = connected
-        self.release_at = release_at
-        self.gen = gen
-        dev.total = dev_total
-        mod.total = mod_total
-        bearer.total = b_total
-        srv.total = s_total
-        self.charged = b_total
-        self.link_sent_p = self.link_del_p = link_p
-        self.link_sent_b = self.link_del_b = link_b
-        self.mb_pass_p, self.mb_pass_b = mb_pass_p, mb_pass_b
-        self.mb_drop_p, self.mb_drop_b = mb_drop_p, mb_drop_b
+        A report reads the writes before its instant.  A periodic check
+        also reads the same-instant writes that pop before it on the wheel
+        (``order``); a release reads none, because the lazy release fires
+        before any event at its deadline.
+        """
+        n = len(write_t)
+        cum = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(write_b, out=cum[1:])
+        at = np.searchsorted(write_t, rep_t, "left")
+        reads = cum[at].tolist()
+        for r in np.flatnonzero(np.concatenate((write_t, [_INF]))[at] == rep_t).tolist():
+            check = rep_check[r]
+            if check < 0:
+                continue
+            k, t = int(at[r]), rep_t[r]
+            while k < n and write_t[k] == t and order.first((write_kind, int(write_index[k])), (_K_CHECK, check)):
+                k += 1
+            reads[r] = int(cum[k])
+        if self.spec.is_uplink:
+            self.reports.extend(zip(rep_t, reads, [0] * len(reads)))
+        else:
+            self.reports.extend(zip(rep_t, [0] * len(reads), reads))
 
     # ---------------------------------------------------------------- flush
 
@@ -1101,9 +1016,9 @@ class _LaneRun:
 class _GeneralRun:
     """General-mode lane: outage, RSS, quota and handover sessions.
 
-    The fold loops win their speedup by collapsing whole frames into
-    straight-line arithmetic, which is only sound while the UE's path
-    state cannot change mid-frame.  Outage windows, RLF detaches, PCRF
+    The fold lane wins its speedup by running whole lanes as array
+    phases, which is only sound while the UE's path state cannot change
+    mid-frame.  Outage windows, RLF detaches, PCRF
     policer refills and handover breaks all violate that invariant, so
     this executor keeps the reference engine's per-hop granularity —
     every packet hop is one wheel event — while still running on the
@@ -1134,7 +1049,7 @@ class _GeneralRun:
     plus a reserved seq for exact same-time ordering; generation-
     cancelled periodic checks) and the COUNTER CHECK reports, buffered as
     ``(t, uplink_bytes, downlink_bytes)`` triples and handed to the sink
-    at flush; the foreground RateWindow with the fold loops' shared
+    at flush; the foreground RateWindow with the fold lane's shared
     demand-split specialization (:func:`_background_split`, falling back
     to the live ``_demand_split``); the two drop-tail queues (contents,
     bytes, and the handover-inflated capacity/drop-layer); the token
@@ -1142,8 +1057,7 @@ class _GeneralRun:
     pair; the ``radio.outage`` span walk; and plain sums — air, link,
     middlebox and gateway FlowStats and metric counters — applied once.
 
-    Same-time event ordering follows the same tie contract as the fold
-    loops; the only batched events are the downlink LAN and backhaul
+    Same-time event ordering follows the module's tie rule; the only batched events are the downlink LAN and backhaul
     deliveries of one frame, whose reference events hold *consecutive*
     global seqs (nothing else schedules between them), so collapsing
     them into one wheel event preserves relative order exactly.
@@ -1182,7 +1096,7 @@ class _GeneralRun:
         split = _background_split(air._background, spec.air_qci)
         self.split_general = split is None
         self.bg_higher, self.bg_same = split or (0.0, 0.0)
-        # Foreground RateWindow mirror, as in the fold loops.
+        # Foreground RateWindow mirror, installed at flush as in the fold lane.
         self.window = RateWindow()
         self.win_samples = self.window._samples
         self.win_bits = 0
@@ -1996,8 +1910,8 @@ def run_lane(spec: LaneSpec, horizon: float, settle: float = SETTLE_S) -> None:
     into the live component objects.  The caller advances the shared loop
     clock afterwards (``loop.run_until(horizon + settle)``), exactly as
     the reference path does.  ``spec.general`` selects the general-mode
-    executor (outage / quota / RSS / handover sessions) over the fold
-    loops.
+    executor (outage / quota / RSS / handover / path-fault sessions) over
+    the fold lane.
     """
     if spec.general:
         _GeneralRun(spec, horizon, settle).run()

@@ -548,12 +548,15 @@ class ReconciliationService:
             return self._reject("malformed")
         if not self._bucket(vendor).try_acquire(self.loop.now()):
             return self._reject("rate-limited")
+        # put_nowait hands the claim straight to an idle worker, which may
+        # settle or refuse it before returning here: stamp it first.
+        self._ingest_t[claim_id] = self.loop.now()
         try:
             self.queue.put_nowait(claim)
         except QueueFull:
+            del self._ingest_t[claim_id]
             return self._reject("backpressure")
         self._accepted_ids.add(claim_id)
-        self._ingest_t[claim_id] = self.loop.now()
         self.ledger.journal(
             {
                 "type": "accepted",

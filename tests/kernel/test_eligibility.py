@@ -243,3 +243,14 @@ class TestChaosEligibility:
         lane, reason = build_session_lane(runner.session)
         assert reason is None
         assert lane.general is False
+
+    def test_two_background_classes_session(self):
+        # The fold lane's demand split is precomputed for at most one
+        # background class; a second class routes to the general
+        # executor, which calls the live _demand_split.
+        runner = make_runner(background_mbps=40.0)
+        lane, reason = build_session_lane(runner.session)
+        assert reason is None
+        assert lane.general is False
+        runner.network.enodeb.uplink_air.set_background(5, 50e6)
+        self.assert_general(runner, n_absorbed=0)

@@ -189,9 +189,9 @@ def test_scenario_bit_exact(config):
     ],
 )
 def test_two_background_classes_bit_exact(config):
-    """With two background classes neither executor can use the
-    one-class demand-split specialization; both call the live
-    ``_demand_split`` over the lane's window."""
+    """Two background classes route every row to the general executor
+    (the fold lane's demand split is precomputed for at most one), which
+    calls the live ``_demand_split`` over the lane's window."""
     runners = []
     for kernel in ("reference", "batched"):
         runner = ScenarioRunner(config, kernel=kernel)

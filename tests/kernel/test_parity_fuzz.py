@@ -13,6 +13,11 @@ bit-for-bit: usage records, raw counter point series, RSS walks, queue
 contents, policer internals, the fault trace, every RNG stream's state
 and the full metrics snapshot.
 
+A second strategy draws only quiet sessions, the ones the fold lane
+takes, and spreads them over the frame rates, congestion, SLA budgets
+and check intervals where its array phases and same-instant ordering
+can go wrong.
+
 Profiles come from ``tests/conftest.py``: ``dev`` (default) runs 25
 derandomized examples for the inner loop; ``HYPOTHESIS_PROFILE=ci``
 runs 250.  Whole-scenario doubles are tier-2 work, so the module is
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import ScenarioRunner
 from repro.experiments.scenarios import ALL_APPS
+from repro.kernel.adapter import build_session_lane
 from repro.netsim.faults import (
     BURST_LOSS,
     CLOCK_DRIFT,
@@ -241,5 +247,42 @@ def test_batched_reference_parity_fuzz(config):
     bat_state = deep_state(bat, bat.run())
     assert bat.session.kernel_used == "batched"
     assert ref.session.kernel_used == "reference"
+    for key in ref_state:
+        assert ref_state[key] == bat_state[key], f"divergence in {key!r}"
+
+
+#: Frame rates from RRC cycling (sparse) to the kernel's 200 fps bound.
+FOLD_FPS = [0.05, 0.5, 20.0, 60.0, 100.0, 200.0]
+
+
+@st.composite
+def quiet_configs(draw):
+    """A ScenarioConfig the fold lane takes: no outage, quota, handover,
+    fault schedule or RSS recording, across frame rate × congestion
+    (background deep enough to queue and drop) × SLA × direction × the
+    cycle length that sets the check interval (``max(0.05, cycle / 600)``)."""
+    base = draw(st.sampled_from(ALL_APPS))
+    config = base.with_(
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        n_cycles=draw(st.sampled_from([1, 2])),
+        cycle_duration_s=draw(st.sampled_from([4.0, 12.0, 36.0, 60.0])),
+        background_mbps=draw(st.sampled_from([0.0, 40.0, 80.0, 120.0])),
+        sla_budget_s=draw(st.sampled_from([None, 0.0001, 0.05])),
+    )
+    return config.with_(
+        workload=replace(config.workload, fps=draw(st.sampled_from(FOLD_FPS)))
+    )
+
+
+@given(config=quiet_configs())
+def test_fold_lane_parity_fuzz(config):
+    ref = ScenarioRunner(config, kernel="reference")
+    bat = ScenarioRunner(config, kernel="batched")
+    lane, reason = build_session_lane(bat.session)
+    assert lane is not None, reason
+    assert not lane.general
+    ref_state = deep_state(ref, ref.run())
+    bat_state = deep_state(bat, bat.run())
+    assert bat.session.kernel_used == "batched"
     for key in ref_state:
         assert ref_state[key] == bat_state[key], f"divergence in {key!r}"

@@ -174,6 +174,27 @@ class TestMalformedClaims:
         ]
         assert service.rejections == {"malformed": 1}
 
+    def test_claim_refused_on_handoff_leaves_no_ingest_stamp(self, service):
+        # put_nowait hands the claim to an idle worker at once, and the
+        # worker refuses the empty ref before its first await: the
+        # ingest stamp must not outlive the claim.
+        claim = {"id": "a", "vendor": "v0", "kind": "probe", "ref": ""}
+        assert service.submit(claim).accepted
+        service.loop.run()
+        assert service.rejections == {"malformed": 1}
+        assert service._ingest_t == {}
+
+    def test_backpressure_leaves_no_ingest_stamp(self):
+        # Not started: no worker takes the first claim off the queue.
+        service = ReconciliationService(
+            loop=EventLoop(), config=ServiceConfig(queue_depth=1)
+        )
+        assert service.submit({"id": "a", "vendor": "v0", "kind": "probe"}).accepted
+        assert service.submit({"id": "b", "vendor": "v0", "kind": "probe"}).reason == (
+            "backpressure"
+        )
+        assert set(service._ingest_t) == {"a"}
+
     def test_submit_after_close_rejected(self, service):
         service.loop.run()
         service.close()
